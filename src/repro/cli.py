@@ -5,7 +5,7 @@ Usage (installed as ``repro-scheduler``, or ``python -m repro``):
     repro-scheduler [-v|-vv|--quiet] COMMAND ...
 
     repro-scheduler schedule PROBLEM --method solution1 \
-        [--best-of N] [--jobs N] [--no-eval-cache] \
+        [--best-of N] [--jobs N] \
         [--gantt] [--svg FILE] [--executive] [--json]
     repro-scheduler simulate PROBLEM --method solution1 \
         [--crash P2@3.0] [--iterations 3] [--period T] [--gantt] [--svg FILE]
@@ -263,7 +263,6 @@ def _run_method(
     method: str,
     best_of: int,
     jobs: int = 1,
-    eval_cache: bool = True,
 ) -> ScheduleResult:
     scheduler_class = _METHODS[method]
     if best_of > 0:
@@ -272,10 +271,9 @@ def _run_method(
             problem,
             attempts=best_of,
             jobs=jobs,
-            use_eval_cache=eval_cache,
         )
     else:
-        result = scheduler_class(problem, use_eval_cache=eval_cache).run()
+        result = scheduler_class(problem).run()
     # Provenance for the run ledger (no-ops unless --ledger is on):
     # the canonical hash of what was produced and the paper's primary
     # quality number, comparator-ready.
@@ -293,7 +291,6 @@ def _run_method_args(
         method,
         args.best_of,
         jobs=getattr(args, "jobs", 1),
-        eval_cache=not getattr(args, "no_eval_cache", False),
     )
 
 
@@ -1563,12 +1560,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=int, default=1, metavar="N",
             help="worker processes for the --best-of seed exploration "
             "(any N produces the identical winner)",
-        )
-        p.add_argument(
-            "--no-eval-cache", action="store_true",
-            help="disable the incremental placement-evaluation cache "
-            "(schedules are bitwise identical either way; this is a "
-            "debugging/benchmarking escape hatch)",
         )
 
     def add_obs_flags(p: argparse.ArgumentParser) -> None:

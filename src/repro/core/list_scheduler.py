@@ -37,7 +37,6 @@ from ..obs import (
     DecisionRecord,
     get_instrumentation,
 )
-from .evalcache import EvaluationCache, TrackedTimelineState
 from .pressure import PressurePrePass
 from .schedule import (
     CommSlot,
@@ -143,15 +142,6 @@ class ListScheduler(abc.ABC):
         is randomly chosen among them", micro-step mSn.2) — different
         seeds explore different equally-pressured schedules; see
         :func:`explore_seeds`.
-    use_eval_cache:
-        ``True`` (default) memoizes placement evaluations per
-        (operation, processor) pair and invalidates, after each
-        commit, only the entries whose inputs the commit touched
-        (:mod:`repro.core.evalcache`).  Schedules are bitwise
-        identical either way — the cache only skips recomputation of
-        values proven unchanged; ``False`` is the escape hatch
-        (``--no-eval-cache`` on the CLI) for debugging and for the
-        cache-effectiveness benchmarks.
     """
 
     #: How the runtime must interpret the produced schedule.
@@ -165,18 +155,17 @@ class ListScheduler(abc.ABC):
         problem: Problem,
         estimate_mode: str = "average",
         seed: Optional[int] = None,
-        use_eval_cache: bool = True,
     ) -> None:
         problem.check()
         self.problem = problem
         self.prepass = PressurePrePass.for_problem(problem, estimate_mode)
         self.planner = CommPlanner(problem)
         self.state = TimelineState.for_problem(problem)
-        #: Memoized placement evaluations (None = caching disabled).
-        self.eval_cache: Optional[EvaluationCache] = None
-        if use_eval_cache:
-            self.eval_cache = EvaluationCache()
-            self.state = TrackedTimelineState.tracking(self.state, set())
+        #: Per operation, the (dependency, predecessor) pairs feeding
+        #: it and the processors able to run it: static, so each is
+        #: worked out on the operation's first evaluation and kept.
+        self._inputs: Dict[str, List[Tuple[Tuple[str, str], str]]] = {}
+        self._capable: Dict[str, List[str]] = {}
         self.rng = None if seed is None else random.Random(seed)
         #: Election order of each scheduled operation's processors
         #: (main first); filled in by :meth:`commit`.
@@ -260,23 +249,18 @@ class ListScheduler(abc.ABC):
             # operation name by default, or randomly when a seed was
             # given (the paper draws randomly; DESIGN.md
             # reconstruction 2).
-            def urgency(op: str) -> float:
-                return max(e.pressure for e in kept_per_op[op])
-
+            urgency = {
+                op: max(e.pressure for e in kept)
+                for op, kept in kept_per_op.items()
+            }
             ordered = sorted(candidates)
-            top = max(urgency(op) for op in ordered)
-            tied = [op for op in ordered if urgency(op) >= top - self.TIE_EPSILON]
+            top = max(urgency[op] for op in ordered)
+            tied = [op for op in ordered if urgency[op] >= top - self.TIE_EPSILON]
             selected = self.rng.choice(tied) if self.rng else tied[0]
 
             # mSn.3 -- commit the operation and its comms.
             with self.obs.span("scheduler.step", op=selected):
                 placements, comms = self.commit(selected, kept_per_op[selected])
-            if self.eval_cache is not None:
-                # Invalidate exactly the cached evaluations that read a
-                # processor/link frontier or data-availability entry
-                # this commit moved; the selected op itself is retired.
-                self.eval_cache.invalidate(self.state.drain_writes())
-                self.eval_cache.drop_op(selected)
             for placement in placements:
                 schedule.add_replica(placement)
             for slot in comms:
@@ -285,7 +269,7 @@ class ListScheduler(abc.ABC):
                 StepRecord(
                     index=len(steps) + 1,
                     op=selected,
-                    urgency=urgency(selected),
+                    urgency=urgency[selected],
                     kept=tuple(kept_per_op[selected]),
                     placements=tuple(placements),
                     comms=tuple(comms),
@@ -298,7 +282,7 @@ class ListScheduler(abc.ABC):
                 "step %d: %s -> %s (urgency %g, %d comm slot(s))",
                 len(steps), selected,
                 ",".join(p.processor for p in placements),
-                urgency(selected), len(comms),
+                urgency[selected], len(comms),
             )
 
             # mSn.4 -- update the candidate list.
@@ -317,11 +301,6 @@ class ListScheduler(abc.ABC):
             )
 
         self.obs.count("scheduler.steps", len(steps))
-        if self.eval_cache is not None:
-            cache = self.eval_cache
-            self.obs.count("evalcache.hits", cache.hits)
-            self.obs.count("evalcache.misses", cache.misses)
-            self.obs.count("evalcache.invalidated", cache.invalidated)
         self.finalize(schedule)
         #: The decision log rides on the schedule so downstream
         #: consumers (FT301, ``repro explain``) need no side channel.
@@ -403,14 +382,17 @@ class ListScheduler(abc.ABC):
     # ------------------------------------------------------------------
     def _keep_best(self, op: str) -> List[PlacementEvaluation]:
         """Evaluate ``op`` everywhere; keep the K + 1 best placements."""
-        capable = self.problem.allowed_processors(op)
+        capable = self._capable.get(op)
+        if capable is None:
+            capable = self._capable[op] = self.problem.allowed_processors(op)
         degree = self.replication_degree
         if len(capable) < degree:
             raise InfeasibleProblemError(
                 f"operation {op!r} can run on only {len(capable)} "
                 f"processor(s); K={self.problem.failures} requires {degree}"
             )
-        evaluations = [self._evaluate_cached(op, proc) for proc in capable]
+        self.obs.count("pressure.evals", len(capable))
+        evaluations = [self.evaluate_placement(op, proc) for proc in capable]
         if self.rng is not None:
             # Random tie-break: placements whose pressures tie (within
             # TIE_EPSILON) are ordered randomly, everything else keeps
@@ -424,44 +406,15 @@ class ListScheduler(abc.ABC):
         self._evaluated[op] = evaluations
         return evaluations[:degree]
 
-    def _evaluate_cached(self, op: str, proc: str) -> PlacementEvaluation:
-        """One placement evaluation, served from the cache when valid.
-
-        On a miss, the evaluation runs with read recording active: the
-        master state and every ghost cloned from it log the resource
-        keys consulted, and the cache remembers the evaluation against
-        that read set.  The evaluated processor's own frontier is
-        always a dependency, even for policy hooks that keep private
-        per-processor bookkeeping outside the timeline dictionaries
-        (the insertion variants' busy-interval lists): any placement on
-        ``proc`` also writes ``("proc", proc)`` via ``record_replica``,
-        so adding the key manually keeps those entries sound.
-
-        ``pressure.evals`` counts only the evaluations actually
-        computed — with the cache disabled that is every lookup, so the
-        counter remains the exact work measure the benchmarks track.
-        """
-        cache = self.eval_cache
-        if cache is None:
-            self.obs.count("pressure.evals")
-            return self.evaluate_placement(op, proc)
-        cached = cache.lookup(op, proc)
-        if cached is not None:
-            return cached
-        reads: set = {("proc", proc)}
-        self.state.begin_reads(reads)
-        try:
-            evaluation = self.evaluate_placement(op, proc)
-        finally:
-            self.state.end_reads()
-        self.obs.count("pressure.evals")
-        cache.store(op, proc, evaluation, reads)
-        return evaluation
-
     def input_sources(self, op: str) -> List[Tuple[Tuple[str, str], str]]:
         """The (dependency, predecessor) pairs feeding ``op``, sorted."""
-        algorithm = self.problem.algorithm
-        return [((pred, op), pred) for pred in algorithm.predecessors(op)]
+        inputs = self._inputs.get(op)
+        if inputs is None:
+            inputs = self._inputs[op] = [
+                ((pred, op), pred)
+                for pred in self.problem.algorithm.predecessors(op)
+            ]
+        return inputs
 
     # ------------------------------------------------------------------
     # Placement policy hooks (overridden by the insertion variants)

@@ -65,7 +65,7 @@ class Solution1Scheduler(ListScheduler):
             return self._evaluate_placement(op, proc)
 
     def _evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
-        ghost = self.state.clone()
+        ghost = self.state.ghost()
         ready = 0.0
         for dep, pred in self.input_sources(op):
             available = ghost.data_available(dep, proc)

@@ -51,7 +51,7 @@ class Solution2Scheduler(ListScheduler):
             return self._evaluate_placement(op, proc)
 
     def _evaluate_placement(self, op: str, proc: str) -> PlacementEvaluation:
-        ghost = self.state.clone()
+        ghost = self.state.ghost()
         ready = 0.0
         for dep, pred in self.input_sources(op):
             available = ghost.data_available(dep, proc)
@@ -71,17 +71,18 @@ class Solution2Scheduler(ListScheduler):
     def _best_tentative_arrival(self, ghost, dep, pred: str, proc: str) -> float:
         """Earliest arrival of ``dep`` on ``proc`` over all senders.
 
-        Each replica of the predecessor is tried on a private copy of
-        the running tentative state; the winning sender's transfer is
-        then replayed on ``ghost`` so later dependencies of the same
-        evaluation see the link contention it creates.
+        Each replica of the predecessor is ranked by the read-only
+        :meth:`~repro.core.timeline.CommPlanner.arrival` on the running
+        tentative state (the first strictly earliest wins); only the
+        winning sender's transfer is replayed on ``ghost``, so later
+        dependencies of the same evaluation see the link contention it
+        creates.
         """
         best_arrival = None
         best_sender = None
         for replica in self.placement_order[pred]:
-            probe = ghost.clone()
-            arrival = self.planner.transfer(
-                probe, dep, replica.processor, proc, ready=replica.end
+            arrival = self.planner.arrival(
+                ghost, dep, replica.processor, proc, ready=replica.end
             )
             if best_arrival is None or arrival < best_arrival:
                 best_arrival = arrival

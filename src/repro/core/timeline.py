@@ -12,9 +12,10 @@ primitives used by all three schedulers:
   processor to several destinations sharing a bus in a single frame
   (what makes Solution 1 cheap on multi-point links).
 
-States are cheaply cloneable so schedulers can evaluate tentative
-placements (the ``S(n)(o, p)`` term of the schedule pressure) without
-committing anything.
+Schedulers evaluate tentative placements (the ``S(n)(o, p)`` term of
+the schedule pressure) on an O(1) copy-on-write :meth:`TimelineState.ghost`
+of the committed state, and rank candidate senders with the read-only
+:meth:`CommPlanner.arrival`, so an evaluation never copies the state.
 """
 
 from __future__ import annotations
@@ -98,6 +99,30 @@ def split_bus_groups(
     return groups, pending
 
 
+class _Overlay:
+    """Copy-on-write view of one state family: reads fall through to
+    ``base`` unless written here; writes never reach ``base``.
+
+    Implements only what the planners and :class:`TimelineState` use
+    on a ghost (``get`` and ``[]=``).
+    """
+
+    __slots__ = ("base", "local")
+
+    def __init__(self, base: dict) -> None:
+        self.base = base
+        self.local: dict = {}
+
+    def get(self, key, default=None):
+        local = self.local
+        if key in local:
+            return local[key]
+        return self.base.get(key, default)
+
+    def __setitem__(self, key, value) -> None:
+        self.local[key] = value
+
+
 @dataclass
 class TimelineState:
     """The mutable frontier of a partial schedule.
@@ -135,12 +160,28 @@ class TimelineState:
         )
 
     def clone(self) -> "TimelineState":
-        """A cheap independent copy (used for tentative evaluation)."""
+        """An independent deep copy (O(state))."""
         return TimelineState(
             proc_free=dict(self.proc_free),
             link_free=dict(self.link_free),
             dep_arrival=dict(self.dep_arrival),
             replica_end=dict(self.replica_end),
+        )
+
+    def ghost(self) -> "TimelineState":
+        """An O(1) copy-on-write view for one tentative evaluation.
+
+        Evaluations write only link frontiers and data arrivals, so
+        only those two families get an :class:`_Overlay`; the
+        processor frontiers and replica completions are shared with
+        this state and must be treated as read-only through the ghost.
+        This state must not change while the ghost is in use.
+        """
+        return TimelineState(
+            proc_free=self.proc_free,
+            link_free=_Overlay(self.link_free),
+            dep_arrival=_Overlay(self.dep_arrival),
+            replica_end=self.replica_end,
         )
 
     # ------------------------------------------------------------------
@@ -152,11 +193,15 @@ class TimelineState:
 
     def arrival(self, dep: DependencyKey, proc: str) -> Optional[float]:
         """Arrival date of ``dep``'s data on ``proc`` via a comm, if any."""
-        return self.dep_arrival.get((tuple(dep), proc))
+        if type(dep) is not tuple:
+            dep = tuple(dep)
+        return self.dep_arrival.get((dep, proc))
 
     def record_arrival(self, dep: DependencyKey, proc: str, date: float) -> None:
         """Record (or improve) the arrival of ``dep`` on ``proc``."""
-        key = (tuple(dep), proc)
+        if type(dep) is not tuple:
+            dep = tuple(dep)
+        key = (dep, proc)
         known = self.dep_arrival.get(key)
         if known is None or date < known:
             self.dep_arrival[key] = date
@@ -173,30 +218,74 @@ class TimelineState:
         delivered comm; ``None`` when the data is not (yet) reachable
         on ``proc`` without scheduling a new comm.
         """
-        candidates = []
-        local = self.local_copy_end(dep[0], proc)
-        if local is not None:
-            candidates.append(local)
+        local = self.replica_end.get((dep[0], proc))
         arrived = self.arrival(dep, proc)
-        if arrived is not None:
-            candidates.append(arrived)
-        return min(candidates) if candidates else None
+        if local is None:
+            return arrived
+        if arrived is None:
+            return local
+        return min(local, arrived)
 
 
 class CommPlanner:
     """Schedules comms onto links, honouring static routes.
 
-    One planner per problem; all methods mutate the supplied
-    :class:`TimelineState` and optionally append the created
-    :class:`~repro.core.schedule.CommSlot` objects to ``collect``
-    (pass ``None`` for tentative evaluation).
+    One planner per problem.  :meth:`transfer` and :meth:`broadcast`
+    mutate the supplied :class:`TimelineState` and optionally append
+    the created :class:`~repro.core.schedule.CommSlot` objects to
+    ``collect`` (pass ``None`` for tentative evaluation);
+    :meth:`arrival` only reads it.
+
+    Two tables make each call cheap: the hop plan of every (sender,
+    destination, dependency) — the route's ``(hop_from, hop_to, link,
+    duration)`` hops, built once from
+    :meth:`~repro.graphs.routing.RoutingTable.route_for_dependency`
+    (the only route memo) and the communication table — and the
+    :func:`split_bus_groups` answer of every (dependency, sender,
+    destinations), with each bus frame's duration.
     """
 
     def __init__(self, problem: Problem) -> None:
         self._problem = problem
         self._routing = problem.routing
         self._comm = problem.communication
-        self._arch = problem.architecture
+        self._plans: Dict[
+            Tuple[str, str, DependencyKey], Tuple[Tuple[str, str, str, float], ...]
+        ] = {}
+        self._splits: Dict[
+            Tuple[DependencyKey, str, Tuple[str, ...]],
+            Tuple[Tuple[Tuple[str, float, Tuple[str, ...]], ...], Tuple[str, ...]],
+        ] = {}
+
+    def _plan(self, dep: DependencyKey, sender: str, dest: str):
+        """The hop plan sender -> dest of ``dep`` (filled on first use)."""
+        key = (sender, dest, dep)
+        hops = self._plans.get(key)
+        if hops is None:
+            route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
+            duration = self._comm.duration
+            hops = tuple(
+                (hop_from, hop_to, link, duration(dep, link))
+                for hop_from, hop_to, link in route.hops()
+            )
+            self._plans[key] = hops
+        return hops
+
+    def _split(self, dep: DependencyKey, sender: str, dests: Sequence[str]):
+        """:func:`split_bus_groups` with bus durations (filled on first use)."""
+        key = (dep, sender, tuple(dests))
+        split = self._splits.get(key)
+        if split is None:
+            groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
+            split = (
+                tuple(
+                    (link, self._comm.duration(dep, link), tuple(served))
+                    for link, served in groups
+                ),
+                tuple(unicast),
+            )
+            self._splits[key] = split
+        return split
 
     # ------------------------------------------------------------------
     # Unicast transfer along the static route
@@ -221,14 +310,13 @@ class CommPlanner:
         if sender == dest:
             state.record_arrival(dep, dest, ready)
             return ready
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
+        hops = self._plans.get((sender, dest, dep)) or self._plan(dep, sender, dest)
+        link_free = state.link_free
         date = ready
-        hops = route.hops()
-        for index, (hop_from, hop_to, link) in enumerate(hops):
-            duration = self._comm.duration(dep, link)
-            start = max(date, state.link_free.get(link, 0.0))
+        for index, (hop_from, hop_to, link, duration) in enumerate(hops):
+            start = max(date, link_free.get(link, 0.0))
             end = start + duration
-            state.link_free[link] = end
+            link_free[link] = end
             if collect is not None:
                 collect.append(
                     CommSlot(
@@ -245,6 +333,29 @@ class CommPlanner:
                 )
             date = end
         state.record_arrival(dep, dest, date)
+        return date
+
+    def arrival(
+        self,
+        state: TimelineState,
+        dep: DependencyKey,
+        sender: str,
+        dest: str,
+        ready: float,
+    ) -> float:
+        """The date :meth:`transfer` would return, without writing.
+
+        Walks the same hop plan with the same arithmetic; since a route
+        never uses a link twice, no hop can see a frontier an earlier
+        hop of the same transfer would have moved.
+        """
+        if sender == dest:
+            return ready
+        hops = self._plans.get((sender, dest, dep)) or self._plan(dep, sender, dest)
+        link_free = state.link_free
+        date = ready
+        for _hop_from, _hop_to, link, duration in hops:
+            date = max(date, link_free.get(link, 0.0)) + duration
         return date
 
     # ------------------------------------------------------------------
@@ -270,10 +381,12 @@ class CommPlanner:
         destination.
         """
         arrivals: Dict[str, float] = {d: ready for d in dests if d == sender}
-        groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
+        groups, unicast = (
+            self._splits.get((dep, sender, tuple(dests)))
+            or self._split(dep, sender, dests)
+        )
 
-        for link_name, served in groups:
-            duration = self._comm.duration(dep, link_name)
+        for link_name, duration, served in groups:
             start = max(ready, state.link_free.get(link_name, 0.0))
             end = start + duration
             state.link_free[link_name] = end
@@ -282,7 +395,7 @@ class CommPlanner:
                     CommSlot(
                         dependency=tuple(dep),
                         sender=sender,
-                        destinations=tuple(served),
+                        destinations=served,
                         link=link_name,
                         start=start,
                         end=end,
@@ -312,5 +425,4 @@ class CommPlanner:
         """
         if sender == dest:
             return 0.0
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-        return route.transfer_time(tuple(dep), self._comm)
+        return sum(hop[3] for hop in self._plan(dep, sender, dest))

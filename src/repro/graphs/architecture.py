@@ -143,6 +143,8 @@ class Architecture:
         self.name = name
         self._processors: Dict[str, Processor] = {}
         self._links: Dict[str, Link] = {}
+        # Per-processor attachment index, in link insertion order.
+        self._links_by_proc: Dict[str, List[Link]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,6 +155,7 @@ class Architecture:
             raise ArchitectureError(f"duplicate processor name {name!r}")
         proc = Processor(name, description)
         self._processors[name] = proc
+        self._links_by_proc[name] = []
         return proc
 
     def add_link(self, name: str, proc_a: str, proc_b: str) -> Link:
@@ -171,6 +174,8 @@ class Architecture:
                 raise ArchitectureError(f"unknown processor {proc!r}")
         link = Link(name, endpoints, kind)
         self._links[name] = link
+        for proc in endpoints:
+            self._links_by_proc[proc].append(link)
         return link
 
     # ------------------------------------------------------------------
@@ -220,9 +225,11 @@ class Architecture:
         return list(self._links)
 
     def links_of(self, proc: str) -> List[Link]:
-        """All links the processor is attached to."""
-        self.processor(proc)
-        return [link for link in self._links.values() if proc in link.endpoints]
+        """All links the processor is attached to, in insertion order."""
+        try:
+            return list(self._links_by_proc[proc])
+        except KeyError:
+            raise ArchitectureError(f"unknown processor {proc!r}") from None
 
     def links_between(self, proc_a: str, proc_b: str) -> List[Link]:
         """All links directly connecting the two processors."""

@@ -38,6 +38,8 @@ class ConstraintError(ValueError):
 
 
 def _as_dependency_key(dep: Union[Dependency, DependencyKey]) -> DependencyKey:
+    if type(dep) is tuple:
+        return dep
     if isinstance(dep, Dependency):
         return dep.key
     src, dst = dep

@@ -121,6 +121,9 @@ class RoutingTable:
         # only when a new Problem is built, so in practice it sticks).
         self._dep_routes: Dict[Tuple[str, str, DependencyKey], Route] = {}
         self._dep_routes_table: Optional[CommunicationTable] = None
+        # Ordered pairs joined by a single min-hop path with a single
+        # link per hop: their route cannot depend on the dependency.
+        self._dep_independent: set = set()
         self.cache_hits = 0
         self.cache_misses = 0
         self._compute_all()
@@ -142,6 +145,12 @@ class RoutingTable:
                 tuple(path) for path in nx.all_shortest_paths(graph, src, dst)
             )
             self._routes[(src, dst)] = self._best_route(graph, src, dst)
+            paths = self._min_hop_paths[(src, dst)]
+            if len(paths) == 1 and all(
+                len(graph[proc_a][proc_b]) == 1
+                for proc_a, proc_b in zip(paths[0], paths[0][1:])
+            ):
+                self._dep_independent.add((src, dst))
 
     def _best_route(self, graph: nx.MultiGraph, src: str, dst: str) -> Route:
         """Deterministically pick a minimum-hop route from src to dst.
@@ -188,7 +197,7 @@ class RoutingTable:
         answer is memoized; the cache is flushed whenever a different
         table object is passed.
         """
-        if src == dst:
+        if src == dst or (src, dst) in self._dep_independent:
             return self._routes[(src, dst)]
         if comm_table is not self._dep_routes_table:
             self._dep_routes.clear()

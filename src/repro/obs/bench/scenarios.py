@@ -42,9 +42,6 @@ __all__ = []  # scenarios register themselves; nothing to import
 _WORK_COUNTERS = (
     "pressure.evals",
     "scheduler.steps",
-    "evalcache.hits",
-    "evalcache.misses",
-    "evalcache.invalidated",
     "sim.frames_sent",
     "sim.executions",
 )
@@ -191,7 +188,8 @@ def _layered_p2p_problem(width: int, depth: int, processors: int, seed: int):
 
 @scenario(
     "scheduler.layered.solution1",
-    "Solution 1 on a large layered p2p workload (eval-cache hot path)",
+    "Solution 1 on a large layered p2p workload (placement-evaluation "
+    "hot path)",
     suites=("quick", "full"),
     width=16,
     depth=8,
@@ -212,58 +210,6 @@ def layered_solution1(
     }
     metrics.update(_work_metrics(obs))
     return metrics
-
-
-@scenario(
-    "scheduler.evalcache.speedup",
-    "Eval-cache effectiveness: cached vs uncached wall clock on the "
-    "layered p2p workload",
-    suites=("quick", "full"),
-    width=16,
-    depth=8,
-    processors=20,
-    seed=7,
-)
-def evalcache_speedup(
-    obs, width: int, depth: int, processors: int, seed: int
-) -> Dict[str, Metric]:
-    problem = _layered_p2p_problem(width, depth, processors, seed)
-    problem.routing  # warm the routing table; both runs share it
-
-    started = time.perf_counter()
-    uncached = Solution1Scheduler(
-        problem, seed=11, use_eval_cache=False
-    ).run()
-    uncached_wall = time.perf_counter() - started
-
-    scheduler = Solution1Scheduler(problem, seed=11)
-    started = time.perf_counter()
-    cached = scheduler.run()
-    cached_wall = time.perf_counter() - started
-
-    # The cache's contract, checked on every bench run: bitwise
-    # identical schedules with the cache on or off.
-    if (cached.makespan != uncached.makespan
-            or cached.decisions != uncached.decisions):
-        raise RuntimeError("eval cache changed the schedule")
-    hit_rate = scheduler.eval_cache.hit_rate
-    return {
-        "uncached_wall_s": Metric(
-            uncached_wall, unit="s", direction="lower", kind="timing",
-            noise=0.75,
-        ),
-        "cached_wall_s": Metric(
-            cached_wall, unit="s", direction="lower", kind="timing",
-            noise=0.75,
-        ),
-        "speedup": Metric(
-            uncached_wall / cached_wall, unit="x", direction="higher",
-            kind="timing", noise=0.5,
-        ),
-        "hit_rate": Metric(
-            hit_rate, unit="fraction", direction="higher", noise=0.2,
-        ),
-    }
 
 
 @scenario(

@@ -37,13 +37,16 @@ class TestSeedExploration:
         problem = examples.first_example_problem(failures=1)
         results = explore_seeds(
             Solution1Scheduler, problem, [1, 2], jobs=2,
-            use_eval_cache=False,
+            drain_margin_frames=0.0,
         )
         baseline = explore_seeds(
             Solution1Scheduler, problem, [1, 2], jobs=1,
+            drain_margin_frames=0.0,
         )
         assert [r.makespan for r in results] == \
             [r.makespan for r in baseline]
+        assert [r.decisions for r in results] == \
+            [r.decisions for r in baseline]
 
 
 class TestMonteCarloJobs:

@@ -29,7 +29,6 @@ MODULES = [
     "repro.core.pressure",
     "repro.core.schedule",
     "repro.core.timeline",
-    "repro.core.evalcache",
     "repro.core.list_scheduler",
     "repro.core.syndex",
     "repro.core.solution1",

@@ -2,12 +2,30 @@
 
 import pytest
 
+from repro.core.solution1 import Solution1Scheduler
+from repro.core.solution2 import Solution2Scheduler
 from repro.core.timeline import CommPlanner, TimelineState
 from repro.paper.examples import (
     figure8_problem,
     first_example_problem,
     second_example_problem,
 )
+from tests.test_mixed_topologies import (
+    bus_plus_express,
+    mixed_problem,
+    two_buses_bridged,
+)
+
+
+def _snapshot(state):
+    """Plain copies of the four state families, for equality checks."""
+    return tuple(
+        dict(family)
+        for family in (
+            state.proc_free, state.link_free,
+            state.dep_arrival, state.replica_end,
+        )
+    )
 
 
 class TestTimelineState:
@@ -157,3 +175,108 @@ class TestWorstCaseTransfer:
         problem = figure8_problem()
         planner = CommPlanner(problem)
         assert planner.worst_case_transfer(("I", "A"), "P1", "P3") == pytest.approx(2.5)
+
+
+class TestReadOnlyArrival:
+    """``CommPlanner.arrival`` returns what ``transfer`` would, writing nothing."""
+
+    @staticmethod
+    def _busy_state(problem):
+        state = TimelineState.for_problem(problem)
+        for index, link in enumerate(problem.architecture.link_names):
+            state.link_free[link] = 0.5 + index
+        return state
+
+    def _assert_matches_transfer(self, problem, pairs, ready=0.25):
+        planner = CommPlanner(problem)
+        state = self._busy_state(problem)
+        before = _snapshot(state)
+        for dep in problem.algorithm.dependencies:
+            for sender, dest in pairs:
+                expected = planner.transfer(
+                    state.clone(), dep.key, sender, dest, ready=ready
+                )
+                got = planner.arrival(state, dep.key, sender, dest, ready=ready)
+                assert got == expected, (dep.key, sender, dest)
+        assert _snapshot(state) == before
+
+    def test_bus_problem(self, bus_problem):
+        procs = bus_problem.architecture.processor_names
+        pairs = [(a, b) for a in procs for b in procs if a != b]
+        self._assert_matches_transfer(bus_problem, pairs)
+
+    def test_bus_plus_express(self):
+        problem = mixed_problem(bus_plus_express())
+        self._assert_matches_transfer(
+            problem, [("P1", "P2"), ("P2", "P1"), ("P1", "P3"), ("P4", "P2")]
+        )
+
+    def test_multi_hop_route_across_bridge(self):
+        problem = mixed_problem(two_buses_bridged())
+        route = problem.routing.route_for_dependency(
+            "PA1", "PC2", problem.algorithm.dependencies[0].key,
+            problem.communication,
+        )
+        assert route.hop_count == 2
+        self._assert_matches_transfer(
+            problem, [("PA1", "PC2"), ("PC1", "PA2"), ("PA1", "PB")]
+        )
+
+    def test_sender_is_destination(self, bus_problem):
+        planner = CommPlanner(bus_problem)
+        state = self._busy_state(bus_problem)
+        before = _snapshot(state)
+        assert planner.arrival(state, ("A", "B"), "P2", "P2", ready=3.0) == 3.0
+        assert _snapshot(state) == before
+
+    def test_sees_the_ghost_writes(self, p2p_problem):
+        planner = CommPlanner(p2p_problem)
+        state = TimelineState.for_problem(p2p_problem)
+        before = _snapshot(state)
+        ghost = state.ghost()
+        planner.transfer(ghost, ("A", "B"), "P1", "P2", ready=1.0)
+        got = planner.arrival(ghost, ("A", "C"), "P1", "P2", ready=0.0)
+        replay = state.clone()
+        planner.transfer(replay, ("A", "B"), "P1", "P2", ready=1.0)
+        expected = planner.transfer(replay, ("A", "C"), "P1", "P2", ready=0.0)
+        assert got == expected
+        assert got > 1.0  # queued behind the ghost's own frame
+        assert _snapshot(state) == before
+
+
+class TestGhost:
+    def test_writes_stay_in_the_ghost(self, bus_problem):
+        state = TimelineState.for_problem(bus_problem)
+        before = _snapshot(state)
+        ghost = state.ghost()
+        ghost.link_free["bus"] = 4.0
+        ghost.record_arrival(("A", "B"), "P2", 4.0)
+        assert ghost.link_free.get("bus") == 4.0
+        assert ghost.arrival(("A", "B"), "P2") == 4.0
+        assert _snapshot(state) == before
+
+    @pytest.mark.parametrize(
+        "scheduler_class", [Solution1Scheduler, Solution2Scheduler]
+    )
+    def test_evaluation_leaves_committed_state_unchanged(
+        self, scheduler_class, p2p_problem
+    ):
+        scheduler = scheduler_class(p2p_problem)
+        algorithm = p2p_problem.algorithm
+        sources = [
+            op for op in algorithm.operation_names
+            if not algorithm.predecessors(op)
+        ]
+        for op in sources:
+            scheduler.commit(op, scheduler._keep_best(op))
+        ready = [
+            op for op in algorithm.operation_names
+            if op not in sources
+            and all(pred in sources for pred in algorithm.predecessors(op))
+        ]
+        assert ready
+        before = _snapshot(scheduler.state)
+        for op in ready:
+            for proc in p2p_problem.allowed_processors(op):
+                scheduler.evaluate_placement(op, proc)
+        assert _snapshot(scheduler.state) == before
