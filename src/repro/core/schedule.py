@@ -33,10 +33,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..graphs.problem import Problem
 from ..tolerance import approx_le
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .plan import ExecutivePlan
 
 __all__ = [
     "ScheduleError",
@@ -47,6 +52,11 @@ __all__ = [
 ]
 
 DependencyKey = Tuple[str, str]
+
+
+def _timeline_order(placement: "ReplicaPlacement") -> Tuple[float, float, str]:
+    """Static order of a processor's replicas (start, end, op)."""
+    return (placement.start, placement.end, placement.op)
 
 
 class ScheduleError(ValueError):
@@ -215,7 +225,19 @@ class Schedule:
         self._replicas: Dict[str, List[ReplicaPlacement]] = {}
         self._comms: List[CommSlot] = []
         self._timeouts: List[TimeoutEntry] = []
+        # Indexes kept by the add_* methods (and rebuilt by freeze()).
+        self._proc_rows: Dict[str, List[ReplicaPlacement]] = {}
+        self._dep_comms: Dict[DependencyKey, List[CommSlot]] = {}
+        self._ladders: Dict[Tuple[str, DependencyKey, str], List[TimeoutEntry]] = {}
         self._frozen = False
+        self._plan: Optional["ExecutivePlan"] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The compiled executive plan is rebuilt on demand; pickles
+        # (the campaign's worker fan-out, deep copies) carry the data.
+        state = dict(self.__dict__)
+        state["_plan"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -236,26 +258,49 @@ class Schedule:
             )
         replicas.append(placement)
         replicas.sort(key=lambda r: r.replica)
+        self._proc_rows.setdefault(placement.processor, []).append(placement)
         return placement
 
     def add_comm(self, slot: CommSlot) -> CommSlot:
         """Record one comm slot."""
         self._assert_mutable()
         self._comms.append(slot)
+        self._dep_comms.setdefault(slot.dependency, []).append(slot)
         return slot
 
     def add_timeout(self, entry: TimeoutEntry) -> TimeoutEntry:
         """Record one Solution-1 timeout-table line."""
         self._assert_mutable()
         self._timeouts.append(entry)
+        key = (entry.op, entry.dependency, entry.watcher)
+        self._ladders.setdefault(key, []).append(entry)
         return entry
 
     def freeze(self) -> "Schedule":
         """Sort timelines, run structural checks, and seal the schedule."""
         self._comms.sort(key=lambda c: (c.start, c.link, c.dependency))
+        self._dep_comms = {}
+        for slot in self._comms:
+            self._dep_comms.setdefault(slot.dependency, []).append(slot)
         self._check_structure()
         self._frozen = True
         return self
+
+    def executive_plan(self) -> "ExecutivePlan":
+        """The static half of this schedule's distributed executive.
+
+        Compiled once per frozen schedule and shared by every
+        simulated iteration and by the prover; an in-construction
+        schedule is compiled afresh on each call.
+        """
+        plan = self._plan
+        if plan is None:
+            from .plan import ExecutivePlan  # the plan reads this module
+
+            plan = ExecutivePlan(self)
+            if self._frozen:
+                self._plan = plan
+        return plan
 
     def _assert_mutable(self) -> None:
         if self._frozen:
@@ -325,9 +370,7 @@ class Schedule:
 
     def processor_timeline(self, proc: str) -> List[ReplicaPlacement]:
         """Replicas executed by ``proc``, sorted by start date."""
-        rows = [r for r in self.all_replicas() if r.processor == proc]
-        rows.sort(key=lambda r: (r.start, r.end, r.op))
-        return rows
+        return sorted(self._proc_rows.get(proc, ()), key=_timeline_order)
 
     # ------------------------------------------------------------------
     # Queries: comms
@@ -345,7 +388,9 @@ class Schedule:
 
     def comms_for_dependency(self, dep: DependencyKey) -> List[CommSlot]:
         """All slots carrying the data of ``dep``."""
-        return [c for c in self._comms if c.dependency == tuple(dep)]
+        if type(dep) is not tuple:
+            dep = tuple(dep)
+        return list(self._dep_comms.get(dep, ()))
 
     def inter_processor_message_count(self) -> int:
         """Number of link frames in the fault-free static schedule.
@@ -375,11 +420,9 @@ class Schedule:
         self, op: str, dep: DependencyKey, watcher: str
     ) -> List[TimeoutEntry]:
         """The watchdog ladder of one backup for one outgoing message."""
-        rows = [
-            t
-            for t in self._timeouts
-            if t.op == op and t.watcher == watcher and t.dependency == tuple(dep)
-        ]
+        if type(dep) is not tuple:
+            dep = tuple(dep)
+        rows = list(self._ladders.get((op, dep, watcher), ()))
         rows.sort(key=lambda t: t.rank)
         return rows
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graphs.problem import Problem
+from ..graphs.transfers import split_bus_groups
 from .schedule import CommSlot, Schedule
 
 __all__ = [
@@ -58,45 +59,6 @@ def event_boundaries(schedule: Schedule) -> List[float]:
     for entry in schedule.timeouts:
         dates.add(entry.deadline)
     return sorted(dates)
-
-
-def split_bus_groups(
-    problem: Problem,
-    dep: DependencyKey,
-    sender: str,
-    dests: Sequence[str],
-) -> Tuple[List[Tuple[str, List[str]]], List[str]]:
-    """Partition destinations into bus broadcasts and unicast routes.
-
-    A destination is grouped onto one of the sender's buses only when
-    the bus is no slower (for this dependency) than the destination's
-    best unicast route — otherwise a dedicated fast link would be
-    wasted on it (e.g. an express point-to-point link shunting a slow
-    backbone bus).  Ties go to the bus: one broadcast frame beats
-    several unicasts.  Returns ``([(bus, [dest...]), ...], [unicast
-    dest...])`` with deterministic ordering.
-    """
-    comm = problem.communication
-    routing = problem.routing
-    pending = [d for d in dict.fromkeys(dests) if d != sender]
-    groups: List[Tuple[str, List[str]]] = []
-    for link in problem.architecture.links_of(sender):
-        if not link.is_bus or not pending:
-            continue
-        bus_cost = comm.duration(dep, link.name)
-        served = []
-        for dest in pending:
-            if dest not in link.endpoints:
-                continue
-            best = routing.route_for_dependency(
-                sender, dest, dep, comm
-            ).transfer_time(tuple(dep), comm)
-            if bus_cost <= best + 1e-12:
-                served.append(dest)
-        if served:
-            groups.append((link.name, served))
-            pending = [d for d in pending if d not in served]
-    return groups, pending
 
 
 class _Overlay:
@@ -236,56 +198,18 @@ class CommPlanner:
     ``collect`` (pass ``None`` for tentative evaluation);
     :meth:`arrival` only reads it.
 
-    Two tables make each call cheap: the hop plan of every (sender,
-    destination, dependency) — the route's ``(hop_from, hop_to, link,
-    duration)`` hops, built once from
-    :meth:`~repro.graphs.routing.RoutingTable.route_for_dependency`
-    (the only route memo) and the communication table — and the
-    :func:`split_bus_groups` answer of every (dependency, sender,
-    destinations), with each bus frame's duration.
+    Each call reads the problem's
+    :class:`~repro.graphs.transfers.TransferTable`: the hop plan
+    ``(hop_from, hop_to, link, duration)`` of every (sender,
+    destination, dependency) and the :func:`split_bus_groups` answer
+    of every (dependency, sender, destinations) with each bus frame's
+    duration — the same table the simulator and the prover read.
     """
 
     def __init__(self, problem: Problem) -> None:
-        self._problem = problem
-        self._routing = problem.routing
-        self._comm = problem.communication
-        self._plans: Dict[
-            Tuple[str, str, DependencyKey], Tuple[Tuple[str, str, str, float], ...]
-        ] = {}
-        self._splits: Dict[
-            Tuple[DependencyKey, str, Tuple[str, ...]],
-            Tuple[Tuple[Tuple[str, float, Tuple[str, ...]], ...], Tuple[str, ...]],
-        ] = {}
-
-    def _plan(self, dep: DependencyKey, sender: str, dest: str):
-        """The hop plan sender -> dest of ``dep`` (filled on first use)."""
-        key = (sender, dest, dep)
-        hops = self._plans.get(key)
-        if hops is None:
-            route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-            duration = self._comm.duration
-            hops = tuple(
-                (hop_from, hop_to, link, duration(dep, link))
-                for hop_from, hop_to, link in route.hops()
-            )
-            self._plans[key] = hops
-        return hops
-
-    def _split(self, dep: DependencyKey, sender: str, dests: Sequence[str]):
-        """:func:`split_bus_groups` with bus durations (filled on first use)."""
-        key = (dep, sender, tuple(dests))
-        split = self._splits.get(key)
-        if split is None:
-            groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
-            split = (
-                tuple(
-                    (link, self._comm.duration(dep, link), tuple(served))
-                    for link, served in groups
-                ),
-                tuple(unicast),
-            )
-            self._splits[key] = split
-        return split
+        self._transfers = problem.transfers
+        self._plans = self._transfers.hop_plans
+        self._splits = self._transfers.bus_splits
 
     # ------------------------------------------------------------------
     # Unicast transfer along the static route
@@ -310,7 +234,9 @@ class CommPlanner:
         if sender == dest:
             state.record_arrival(dep, dest, ready)
             return ready
-        hops = self._plans.get((sender, dest, dep)) or self._plan(dep, sender, dest)
+        hops = self._plans.get((sender, dest, dep)) or self._transfers.hops(
+            dep, sender, dest
+        )
         link_free = state.link_free
         date = ready
         for index, (hop_from, hop_to, link, duration) in enumerate(hops):
@@ -351,7 +277,9 @@ class CommPlanner:
         """
         if sender == dest:
             return ready
-        hops = self._plans.get((sender, dest, dep)) or self._plan(dep, sender, dest)
+        hops = self._plans.get((sender, dest, dep)) or self._transfers.hops(
+            dep, sender, dest
+        )
         link_free = state.link_free
         date = ready
         for _hop_from, _hop_to, link, duration in hops:
@@ -383,7 +311,7 @@ class CommPlanner:
         arrivals: Dict[str, float] = {d: ready for d in dests if d == sender}
         groups, unicast = (
             self._splits.get((dep, sender, tuple(dests)))
-            or self._split(dep, sender, dests)
+            or self._transfers.split(dep, sender, dests)
         )
 
         for link_name, duration, served in groups:
@@ -425,4 +353,4 @@ class CommPlanner:
         """
         if sender == dest:
             return 0.0
-        return sum(hop[3] for hop in self._plan(dep, sender, dest))
+        return sum(hop[3] for hop in self._transfers.hops(dep, sender, dest))

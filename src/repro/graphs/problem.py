@@ -28,6 +28,7 @@ from .algorithm import AlgorithmGraph
 from .architecture import Architecture
 from .constraints import CommunicationTable, ConstraintError, ExecutionTable
 from .routing import RoutingTable
+from .transfers import TransferTable
 
 __all__ = ["Problem", "InfeasibleProblemError"]
 
@@ -74,6 +75,7 @@ class Problem:
         if self.deadline is not None and self.deadline <= 0:
             raise InfeasibleProblemError("deadline must be positive")
         self._routing: Optional[RoutingTable] = None
+        self._transfers: Optional[TransferTable] = None
         self._largest_frames: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -85,6 +87,15 @@ class Problem:
         if self._routing is None:
             self._routing = RoutingTable(self.architecture)
         return self._routing
+
+    @property
+    def transfers(self) -> TransferTable:
+        """Hop plans and bus splits (built lazily, rebuilt when the
+        communication table object is replaced)."""
+        table = self._transfers
+        if table is None or table.communication is not self.communication:
+            table = self._transfers = TransferTable(self)
+        return table
 
     @property
     def replication_degree(self) -> int:

@@ -41,9 +41,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ...core.plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
 from ...obs import get_instrumentation
-from .automaton import DEADLINE_SLACK, DeliveryAutomaton, compile_automaton
+from .automaton import DeliveryAutomaton, compile_automaton
 from .model import (
     ClassRegion,
     Counterexample,
@@ -164,24 +165,25 @@ class _AbstractRun:
         known_failed: Iterable[str] = (),
     ) -> None:
         self.auto = auto
+        self.plan = plan = auto.plan
+        self.transfers = auto.problem.transfers
+        self.oracle = auto.detection == "oracle"
         self.crashes = crashes
         self.guards: Dict[str, Set[float]] = {p: set() for p in crashes}
         self.kernel = _Kernel()
-        self.busy: Dict[str, float] = {link: 0.0 for link in auto.is_bus}
+        self.busy: Dict[str, float] = dict.fromkeys(self.transfers.is_bus, 0.0)
         self.flags: Dict[str, Set[str]] = {
-            proc: set(known_failed) for proc in auto.processors
+            proc: set(known_failed) for proc in plan.processors
         }
-        self.data: Dict[Tuple[DependencyKey, str], _Event] = {}
-        self.produced: Dict[Tuple[str, str], _Event] = {}
-        self.observed: Dict[DependencyKey, _Event] = {}
-        for op, deps in auto.out_deps.items():
-            for dep in deps:
-                self.observed[dep] = _Event()
-                for proc in auto.processors:
-                    self.data[(dep, proc)] = _Event()
-        for op in auto.predecessors:
-            for proc in auto.processors:
-                self.produced[(op, proc)] = _Event()
+        self.data: Dict[Tuple[DependencyKey, str], _Event] = {
+            key: _Event() for key, _name in plan.data_events
+        }
+        self.produced: Dict[Tuple[str, str], _Event] = {
+            key: _Event() for key, _name in plan.produced_events
+        }
+        self.observed: Dict[DependencyKey, _Event] = {
+            key: _Event() for key, _name in plan.observed_events
+        }
         # Bookkeeping ---------------------------------------------------
         self.outputs_done: Set[str] = set()
         self.delivery_source: Dict[
@@ -209,57 +211,53 @@ class _AbstractRun:
 
     # -- processes (mirror the executive's spawn order and branches) ----
     def execute(self) -> "_AbstractRun":
-        auto = self.auto
-        for proc in auto.processors:
+        plan = self.plan
+        for proc in plan.processors:
             self.kernel.process(self._computation_unit(proc))
-        for op in auto.operations:
-            if auto.semantics is ScheduleSemantics.SOLUTION2:
-                for proc in auto.replicas[op]:
-                    self.kernel.process(self._replica_sender(op, proc))
-            elif auto.replicas[op]:
-                self.kernel.process(self._replica_sender(op, auto.replicas[op][0]))
-        for op, dep, watcher in auto.watch_order:
+        for op, proc in plan.senders:
+            self.kernel.process(self._replica_sender(op, proc))
+        for op, dep, watcher in plan.watch_order:
             self.kernel.process(self._watchdog(op, dep, watcher))
         self.kernel.run()
         return self
 
     def _computation_unit(self, proc: str):
-        auto = self.auto
-        outputs = set(auto.outputs)
-        for op, duration in auto.timeline[proc]:
-            for pred in auto.predecessors[op]:
-                yield ("wait", self.data[((pred, op), proc)])
+        for row in self.plan.timeline[proc]:
+            for _pred, dep in row.inputs:
+                yield ("wait", self.data[(dep, proc)])
             if not self._alive_at(proc, self.kernel.now):
                 return
             start = self.kernel.now
-            yield ("delay", duration)
+            yield ("delay", row.duration)
             end = self.kernel.now
             if not self._alive_through(proc, start, end):
                 return
-            for dep in auto.out_deps.get(op, ()):
+            for dep in row.out_deps:
                 self.kernel.fire(self.data[(dep, proc)])
-            self.kernel.fire(self.produced[(op, proc)])
-            if op in outputs:
-                self.outputs_done.add(op)
+            self.kernel.fire(self.produced[(row.op, proc)])
+            if row.is_output:
+                self.outputs_done.add(row.op)
 
     def _replica_sender(self, op: str, proc: str):
-        auto = self.auto
         yield ("wait", self.produced[(op, proc)])
         if not self._alive_at(proc, self.kernel.now):
             return
-        skip_flagged = auto.semantics is ScheduleSemantics.SOLUTION2
+        flagged = (
+            self.flags[proc]
+            if self.plan.semantics is ScheduleSemantics.SOLUTION2
+            else None
+        )
         plans = []
-        for dep in auto.out_deps.get(op, ()):
-            dests = [d for d in auto.destinations[dep] if d != proc]
-            if skip_flagged:
-                dests = [d for d in dests if d not in self.flags[proc]]
-            if not dests:
-                continue
-            release = auto.planned_release.get((dep, proc))
+        for dep, release, dests in self.plan.sends[(op, proc)]:
+            if flagged:
+                dests = tuple(d for d in dests if d not in flagged)
+                if not dests:
+                    continue
             plans.append(
                 (release if release is not None else self.kernel.now, dep, dests)
             )
-        plans.sort(key=lambda plan: (plan[0], plan[1]))
+        # (release, dependency) is unique per sender: dests never compare.
+        plans.sort()
         for release, dep, dests in plans:
             if self.kernel.now < release:
                 yield ("delay", release - self.kernel.now)
@@ -268,8 +266,7 @@ class _AbstractRun:
             self._dispatch(dep, proc, dests, takeover=False)
 
     def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
-        auto = self.auto
-        ladder = auto.ladders[(op, dep, watcher)]
+        ladder = self.plan.ladders[(op, dep, watcher)]
         observed = self.observed[dep]
         for index, rung in enumerate(ladder):
             if not self._alive_at(watcher, self.kernel.now):
@@ -299,7 +296,7 @@ class _AbstractRun:
         yield ("wait", self.produced[(op, watcher)])
         if not self._alive_at(watcher, self.kernel.now):
             return
-        dests = [d for d in auto.destinations[dep] if d != watcher]
+        dests = [d for d in self.plan.destinations[dep] if d != watcher]
         if dests:
             self._dispatch(dep, watcher, dests, takeover=True)
         self._fire_observed(dep, "takeover-dispatch", watcher)
@@ -308,17 +305,24 @@ class _AbstractRun:
     def _dispatch(
         self, dep: DependencyKey, sender: str, dests: Sequence[str], takeover: bool
     ) -> None:
-        groups, unicast = self.auto.frame_groups(dep, sender, dests)
-        for link, served in groups:
-            self._emit(dep, sender, served, link, takeover, then=None)
+        transfers = self.transfers
+        groups, unicast = (
+            transfers.bus_splits.get((dep, sender, tuple(dests)))
+            or transfers.split(dep, sender, dests)
+        )
+        for link, duration, served in groups:
+            self._emit(dep, sender, served, link, duration, takeover, then=None)
         for dest in unicast:
-            hops = self.auto.route_hops(dep, sender, dest)
+            hops = (
+                transfers.hop_plans.get((sender, dest, dep))
+                or transfers.hops(dep, sender, dest)
+            )
             self._forward(dep, hops, 0, takeover)
 
     def _forward(self, dep, hops, index, takeover) -> None:
         if index >= len(hops):
             return
-        hop_from, hop_to, link = hops[index]
+        hop_from, hop_to, link, duration = hops[index]
         is_last = index == len(hops) - 1
 
         def continue_route(_end):
@@ -329,12 +333,12 @@ class _AbstractRun:
             hop_from,
             (hop_to,),
             link,
+            duration,
             takeover,
             then=None if is_last else continue_route,
         )
 
-    def _emit(self, dep, sender, dests, link, takeover, then) -> None:
-        duration = self.auto.comm_duration(dep, link)
+    def _emit(self, dep, sender, dests, link, duration, takeover, then) -> None:
         start = max(self.kernel.now, self.busy[link])
         if not self._alive_at(sender, start):
             return  # fail-stop before grant: frame never exists
@@ -349,7 +353,8 @@ class _AbstractRun:
             return
 
         def complete():
-            if self.auto.observable(link):
+            # Snoop detection observes bus frames only; oracle, any frame.
+            if self.oracle or self.transfers.is_bus[link]:
                 self._fire_observed(dep, "frame", sender)
                 if self.auto.snoop_recovery:
                     for flags in self.flags.values():
@@ -369,7 +374,7 @@ class _AbstractRun:
             self.delivery_source[(dep, dest)] = (
                 kind,
                 sender,
-                self.auto.rank.get((dep[0], sender), 0),
+                self.plan.rank.get((dep[0], sender), 0),
             )
         self.kernel.fire(event)
 
@@ -383,7 +388,7 @@ class _AbstractRun:
     @property
     def missing_outputs(self) -> Tuple[str, ...]:
         return tuple(
-            op for op in self.auto.outputs if op not in self.outputs_done
+            op for op in self.plan.outputs if op not in self.outputs_done
         )
 
     @property
@@ -394,7 +399,7 @@ class _AbstractRun:
         """(dep, destination) pairs where a *surviving* consumer
         replica never received the data it depends on."""
         starved = []
-        for dep, dests in sorted(self.auto.destinations.items()):
+        for dep, dests in sorted(self.plan.destinations.items()):
             for dest in dests:
                 if dest in self.crashes:
                     continue
@@ -523,11 +528,11 @@ def _sweep_subset(
 # Monotone dead-subset certificate
 # ----------------------------------------------------------------------
 def _reaches_output(auto: DeliveryAutomaton) -> Set[str]:
-    reaches = set(auto.outputs)
+    reaches = set(auto.plan.outputs)
     changed = True
     while changed:
         changed = False
-        for op, deps in auto.out_deps.items():
+        for op, deps in auto.plan.out_deps.items():
             if op in reaches:
                 continue
             if any(dst in reaches for (_src, dst) in deps):
@@ -544,8 +549,8 @@ def _dead_certificate(
     t=0 then provably starves that output, for this subset and every
     superset (the monotone certificate behind lattice pruning)."""
     crashed = set(subset)
-    for op in auto.operations:
-        hosts = auto.replicas[op]
+    for op in auto.plan.operations:
+        hosts = auto.plan.replicas[op]
         if hosts and set(hosts) <= crashed and op in reaches:
             return op
     return None
@@ -573,11 +578,11 @@ def prove_delivery(
     obs = get_instrumentation()
     with obs.span("proof.compile"):
         auto = compile_automaton(schedule, detection=detection)
-    failures = auto.failures if max_failures is None else max_failures
+    failures = auto.problem.failures if max_failures is None else max_failures
     with obs.span(
         "proof.verify",
-        semantics=auto.semantics.value,
-        processors=len(auto.processors),
+        semantics=auto.plan.semantics.value,
+        processors=len(auto.plan.processors),
         failures=failures,
     ):
         result = _prove(auto, failures, max_evals_per_subset, obs)
@@ -585,8 +590,8 @@ def prove_delivery(
         probe_beyond
         and result.verdict == "SAFE"
         and max_failures is None
-        and failures + 1 < len(auto.processors)
-        and _choose(len(auto.processors), failures + 1) <= 64
+        and failures + 1 < len(auto.plan.processors)
+        and _choose(len(auto.plan.processors), failures + 1) <= 64
     ):
         beyond = _prove(auto, failures + 1, max_evals_per_subset, obs, sizes=(failures + 1,))
         if beyond.verdict == "SAFE":
@@ -611,7 +616,7 @@ def _prove(
     obs,
     sizes: Optional[Tuple[int, ...]] = None,
 ) -> ProofResult:
-    processors = auto.processors
+    processors = auto.plan.processors
     reaches = _reaches_output(auto)
     dead_roots: List[frozenset] = []
     subsets_checked = 0
@@ -684,7 +689,7 @@ def _prove(
     counterexamples.sort(key=lambda cx: (len(cx.subset), cx.subset, cx.label))
     return ProofResult(
         verdict=verdict,
-        semantics=auto.semantics.value,
+        semantics=auto.plan.semantics.value,
         detection=auto.detection,
         processors=processors,
         failures=failures,
@@ -746,9 +751,9 @@ def _dependency_witnesses(auto, chains, counterexamples) -> List[DependencyWitne
     for cx in counterexamples:
         refuted_deps.update(cx.undelivered_deps())
     witnesses = []
-    for dep in sorted(auto.destinations):
+    for dep in sorted(auto.plan.destinations):
         label = "%s -> %s" % dep
-        if not auto.destinations[dep]:
+        if not auto.plan.destinations[dep]:
             witnesses.append(
                 DependencyWitness(dependency=label, status="local", chains=())
             )

@@ -184,12 +184,8 @@ def _planned_release(schedule: Schedule, node: CausalNode) -> Optional[float]:
     """Static release date of a planned (non-takeover) frame."""
     if node.takeover or node.dependency is None:
         return None
-    starts = [
-        slot.start
-        for slot in schedule.comms_for_dependency(node.dependency)
-        if slot.hop == 0 and slot.sender == node.processor
-    ]
-    return min(starts) if starts else None
+    releases = schedule.executive_plan().releases
+    return releases.get((tuple(node.dependency), node.processor))
 
 
 def _ladder_release(

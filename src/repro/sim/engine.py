@@ -172,6 +172,13 @@ class Simulator:
         deadline: Optional[float],
         single: bool,
     ) -> None:
+        # Already-fired events win immediately (level-triggered).
+        for index, event in enumerate(events):
+            if event.fired:
+                self._step(body, event.value if single else index)
+                return
+
+        # The process blocks: the first of its wake-ups resumes it.
         done = {"resumed": False}
 
         def resume(result: Any) -> None:
@@ -179,12 +186,6 @@ class Simulator:
                 return
             done["resumed"] = True
             self._step(body, result)
-
-        # Already-fired events win immediately (level-triggered).
-        for index, event in enumerate(events):
-            if event.fired:
-                resume(event.value if single else index)
-                return
 
         for index, event in enumerate(events):
             def on_fire(idx: int = index, ev: Event = event) -> None:

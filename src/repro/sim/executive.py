@@ -44,9 +44,9 @@ Failure detection observability is configurable:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
+from ..core.plan import DEADLINE_SLACK
 from ..core.schedule import Schedule, ScheduleSemantics
 from .engine import Delay, Event, Simulator, Wait, WaitAny
 from .faults import FailureScenario
@@ -61,6 +61,11 @@ DependencyKey = Tuple[str, str]
 
 class ExecutiveRuntime:
     """One simulated iteration of a schedule under a failure scenario.
+
+    The static half of the executive — operation sequences, sends,
+    destinations, release dates, timeout ladders — is the schedule's
+    compiled :class:`~repro.core.plan.ExecutivePlan`; a runtime holds
+    only the per-run state (events, fail flags, network, trace).
 
     Parameters
     ----------
@@ -96,32 +101,17 @@ class ExecutiveRuntime:
     ) -> None:
         self.schedule = schedule
         self.problem = schedule.problem
+        self.plan = plan = schedule.executive_plan()
         self.scenario = scenario or FailureScenario.none()
-        self.scenario.check_against(
-            self.problem.architecture.processor_names,
-            self.problem.architecture.link_names,
-        )
+        self.scenario.check_against(plan.processors, plan.links)
         self.iteration = iteration
-        #: Functional payloads produced locally: (op, proc) -> value.
-        self._values: Dict[Tuple[str, str], int] = {}
-
-        architecture = self.problem.architecture
-        if detection is None:
-            detection = "snoop" if architecture.has_bus else "oracle"
-        if detection not in ("snoop", "oracle"):
-            raise ValueError(f"unknown detection mode {detection!r}")
-        self.detection = detection
-        if snoop_recovery is None:
-            snoop_recovery = (
-                schedule.semantics is ScheduleSemantics.SOLUTION1
-                and architecture.is_single_bus
-            )
-        self.snoop_recovery = snoop_recovery
+        self.detection = plan.detection_mode(detection)
+        self.snoop_recovery = plan.snoop_recovery_mode(snoop_recovery)
 
         self.sim = Simulator()
         self.trace = IterationTrace(
             scenario_name=str(self.scenario),
-            expected_outputs=tuple(self.problem.algorithm.outputs),
+            expected_outputs=plan.outputs,
         )
         self.network = NetworkRuntime(
             self.sim, self.problem, self.scenario, self.trace
@@ -130,36 +120,38 @@ class ExecutiveRuntime:
         self.network.on_observe = self._on_observe
 
         #: Per-processor fail-flag arrays (Section 5.5).
+        known = self.scenario.known_failed
         self.flags: Dict[str, Set[str]] = {
-            proc: set(self.scenario.known_failed)
-            for proc in architecture.processor_names
+            proc: set(known) for proc in plan.processors
         }
-        for proc, known in (initial_flags or {}).items():
-            self.flags[proc].update(known)
+        for proc, flagged in (initial_flags or {}).items():
+            self.flags[proc].update(flagged)
 
-        # Events -------------------------------------------------------
-        self._data: Dict[Tuple[DependencyKey, str], Event] = {}
-        self._produced: Dict[Tuple[str, str], Event] = {}
-        self._observed: Dict[DependencyKey, Event] = {}
-        algorithm = self.problem.algorithm
-        for dep in algorithm.dependencies:
-            self._observed[dep.key] = self.sim.event(f"observed:{dep}")
-            for proc in architecture.processor_names:
-                self._data[(dep.key, proc)] = self.sim.event(f"data:{dep}@{proc}")
-        for op in algorithm.operation_names:
-            for proc in architecture.processor_names:
-                self._produced[(op, proc)] = self.sim.event(f"produced:{op}@{proc}")
+        # Events: the produced event carries the local value of the
+        # operation, which its senders put on the wire.
+        self._data: Dict[Tuple[DependencyKey, str], Event] = {
+            key: Event(name) for key, name in plan.data_events
+        }
+        self._produced: Dict[Tuple[str, str], Event] = {
+            key: Event(name) for key, name in plan.produced_events
+        }
+        self._observed: Dict[DependencyKey, Event] = {
+            key: Event(name) for key, name in plan.observed_events
+        }
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
     def run(self) -> IterationTrace:
         """Build all processes, run to quiescence, return the trace."""
-        for proc in self.problem.architecture.processor_names:
-            self.sim.process(self._computation_unit(proc))
-        self._spawn_senders()
-        if self.schedule.semantics is ScheduleSemantics.SOLUTION1:
-            self._spawn_watchdogs()
+        plan = self.plan
+        process = self.sim.process
+        for proc in plan.processors:
+            process(self._computation_unit(proc))
+        for op, proc in plan.senders:
+            process(self._replica_sender(op, proc))
+        for op, dep, watcher in plan.watch_order:
+            process(self._watchdog(op, dep, watcher))
         self.sim.run()
         self.trace.final_known_failed = frozenset().union(*self.flags.values())
         return self.trace
@@ -197,44 +189,41 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     def _computation_unit(self, proc: str):
         """Run the processor's replicas in static order, data-driven."""
-        algorithm = self.problem.algorithm
-        outputs = set(algorithm.outputs)
-        for placement in self.schedule.processor_timeline(proc):
-            op = placement.op
+        sim = self.sim
+        scenario = self.scenario
+        data = self._data
+        for row in self.plan.timeline[proc]:
             inputs: Dict[str, int] = {}
-            for pred in algorithm.predecessors(op):
-                inputs[pred] = yield Wait(self._data[((pred, op), proc)])
-            if not self._alive(proc):
+            for pred, dep in row.inputs:
+                inputs[pred] = yield Wait(data[(dep, proc)])
+            if not scenario.alive_at(proc, sim.now):
                 return
-            start = self.sim.now
-            duration = self.problem.execution.duration(op, proc)
-            yield Delay(duration)
-            end = self.sim.now
-            completed = self.scenario.alive_through(proc, start, end)
+            start = sim.now
+            yield Delay(row.duration)
+            end = sim.now
+            completed = scenario.alive_through(proc, start, end)
             self.trace.executions.append(
                 ExecutionRecord(
-                    op=op, processor=proc, start=start, end=end,
+                    op=row.op, processor=proc, start=start, end=end,
                     completed=completed,
                 )
             )
             if not completed:
                 return
-            operation = algorithm.operation(op)
             value = compute_value(
-                op,
-                operation.kind,
+                row.op,
+                row.kind,
                 inputs,
-                initial_value=operation.initial_value or 0.0,
+                initial_value=row.initial_value,
                 iteration=self.iteration,
             )
-            self._values[(op, proc)] = value
             # The data of op now exists locally: feed local consumers
             # and mark production for the communication units.
-            for dep in algorithm.out_dependencies(op):
-                self.sim.fire(self._data[(dep.key, proc)], value)
-            self.sim.fire(self._produced[(op, proc)])
-            if op in outputs:
-                self._record_output(op, proc, end, value)
+            for dep in row.out_deps:
+                sim.fire(data[(dep, proc)], value)
+            sim.fire(self._produced[(row.op, proc)], value)
+            if row.is_output:
+                self._record_output(row.op, proc, end, value)
 
     def _record_output(self, op: str, proc: str, end: float, value: int) -> None:
         """First production wins; replica disagreement is an anomaly."""
@@ -252,105 +241,45 @@ class ExecutiveRuntime:
     # ------------------------------------------------------------------
     # Communication units: senders
     # ------------------------------------------------------------------
-    def _destinations(self, dep: DependencyKey) -> List[str]:
-        """Processors that must receive ``dep`` over the network.
-
-        Every processor hosting a replica of the consumer, except
-        those already hosting a replica of the producer (which use the
-        local copy — Sections 6.1 and 7.1).
-        """
-        src, dst = dep
-        return sorted(
-            proc
-            for proc in self.schedule.processors_of(dst)
-            if self.schedule.replica_on(src, proc) is None
-        )
-
-    def _spawn_senders(self) -> None:
-        semantics = self.schedule.semantics
-        for op in self.schedule.operations:
-            if semantics is ScheduleSemantics.SOLUTION2:
-                for replica in self.schedule.replicas(op):
-                    self.sim.process(self._replica_sender(op, replica.processor))
-            else:
-                main = self.schedule.main_replica(op)
-                self.sim.process(self._replica_sender(op, main.processor))
-
-    def _planned_release(self, dep: DependencyKey, proc: str) -> Optional[float]:
-        """Static release date of ``proc``'s frame for ``dep``.
-
-        The generated executive is time-triggered on its comm side:
-        each planned frame is emitted at its static start date, in
-        static order.  This is what makes the failure-free run
-        reproduce the planned communication schedule exactly — and
-        therefore what makes the watchdog deadlines (anchored on the
-        static frame ends) free of spurious elections.  Frames without
-        a plan (take-over sends) are event-triggered instead.
-        """
-        starts = [
-            slot.start
-            for slot in self.schedule.comms_for_dependency(dep)
-            if slot.hop == 0 and slot.sender == proc
-        ]
-        return min(starts) if starts else None
-
     def _replica_sender(self, op: str, proc: str):
         """Send every outgoing dependency of ``op`` once produced.
 
         Sends follow the static plan: ordered by their planned start
-        dates and released no earlier than them.  Solution-2 senders
-        skip destinations their processor believes dead (the fail-flag
-        array) — harmless when wrong, and the very mechanism that
-        starves falsely-suspected processors on point-to-point links
-        (Section 7.4).
+        dates and released no earlier than them (frames without a
+        plan go out at once).  Solution-2 senders skip destinations
+        their processor believes dead (the fail-flag array) — harmless
+        when wrong, and the very mechanism that starves
+        falsely-suspected processors on point-to-point links (Section
+        7.4).
         """
-        yield Wait(self._produced[(op, proc)])
+        value = yield Wait(self._produced[(op, proc)])
+        sim = self.sim
         if not self._alive(proc):
             return
-        skip_flagged = self.schedule.semantics is ScheduleSemantics.SOLUTION2
+        flagged = (
+            self.flags[proc]
+            if self.plan.semantics is ScheduleSemantics.SOLUTION2
+            else None
+        )
         plans = []
-        for dep in self.problem.algorithm.out_dependencies(op):
-            dests = [d for d in self._destinations(dep.key) if d != proc]
-            if skip_flagged:
-                dests = [d for d in dests if d not in self.flags[proc]]
-            if not dests:
-                continue
-            release = self._planned_release(dep.key, proc)
-            plans.append((release if release is not None else self.sim.now,
-                          dep.key, dests))
-        plans.sort(key=lambda plan: (plan[0], plan[1]))
+        for dep, release, dests in self.plan.sends[(op, proc)]:
+            if flagged:
+                dests = tuple(d for d in dests if d not in flagged)
+                if not dests:
+                    continue
+            plans.append((sim.now if release is None else release, dep, dests))
+        # (release, dependency) is unique per sender: dests never compare.
+        plans.sort()
         for release, dep, dests in plans:
-            if self.sim.now < release:
-                yield Delay(release - self.sim.now)
+            if sim.now < release:
+                yield Delay(release - sim.now)
             if not self._alive(proc):
                 return
-            self.network.dispatch(
-                dep, proc, dests, payload=self._values.get((op, proc))
-            )
+            self.network.dispatch(dep, proc, dests, payload=value)
 
     # ------------------------------------------------------------------
     # Communication units: Solution-1 watchdogs (Figure 12's OpComm)
     # ------------------------------------------------------------------
-    #: Arrival exactly at the worst-case bound is timely: the timeout
-    #: fires strictly after the deadline (Section 6.1 item 2 computes
-    #: the bound as the least value avoiding spurious elections).
-    DEADLINE_SLACK = 1e-9
-
-    def _spawn_watchdogs(self) -> None:
-        for op in self.schedule.operations:
-            replicas = self.schedule.replicas(op)
-            for backup in replicas[1:]:
-                for dep in self.problem.algorithm.out_dependencies(op):
-                    if not self._destinations(dep.key):
-                        # Every consumer replica holds a local copy of
-                        # the producer: there is no message to watch
-                        # (no OpComm is generated for an
-                        # intra-processor communication).
-                        continue
-                    self.sim.process(
-                        self._watchdog(op, dep.key, backup.processor)
-                    )
-
     def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
         """One OpComm instance: watch the message of ``dep``, take over.
 
@@ -359,15 +288,15 @@ class ExecutiveRuntime:
         candidate's unit failed and advances ``m``; if ``m`` reaches
         the watcher, it sends the result itself.
         """
-        ladder = self.schedule.timeout_ladder(op, dep, watcher)
         observed = self._observed[dep]
-        for entry in ladder:
+        flags = self.flags[watcher]
+        for entry in self.plan.ladders[(op, dep, watcher)]:
             if not self._alive(watcher):
                 return
-            if entry.candidate in self.flags[watcher]:
+            if entry.candidate in flags:
                 continue  # already known faulty: no wait (Figure 12)
             outcome = yield WaitAny(
-                (observed,), deadline=entry.deadline + self.DEADLINE_SLACK
+                (observed,), deadline=entry.deadline + DEADLINE_SLACK
             )
             if not self._alive(watcher):
                 return
@@ -378,14 +307,13 @@ class ExecutiveRuntime:
         # effective main for this message.
         if observed.fired:
             return
-        yield Wait(self._produced[(op, watcher)])
+        value = yield Wait(self._produced[(op, watcher)])
         if not self._alive(watcher):
             return
-        dests = [d for d in self._destinations(dep) if d != watcher]
+        dests = [d for d in self.plan.destinations[dep] if d != watcher]
         if dests:
             self.network.dispatch(
-                dep, watcher, dests, takeover=True,
-                payload=self._values.get((op, watcher)),
+                dep, watcher, dests, takeover=True, payload=value,
             )
         # The watcher's own send is, of course, observed by the
         # remaining (later) watchers.

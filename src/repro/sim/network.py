@@ -22,10 +22,10 @@ decided at grant time, keeping the simulation deterministic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.timeline import split_bus_groups
 from ..graphs.problem import Problem
+from ..graphs.transfers import Hop
 from .engine import Simulator
 from .faults import FailureScenario
 from .trace import FrameRecord, IterationTrace
@@ -44,7 +44,13 @@ ObserveCallback = Callable[[DependencyKey, str, str, float], None]
 
 
 class NetworkRuntime:
-    """Carries frames over the architecture during one iteration."""
+    """Carries frames over the architecture during one iteration.
+
+    Routes, bus groupings and frame durations come from the problem's
+    :class:`~repro.graphs.transfers.TransferTable` (the one the static
+    planner used); a runtime holds only the link frontiers and the
+    callbacks of one run.
+    """
 
     def __init__(
         self,
@@ -54,15 +60,11 @@ class NetworkRuntime:
         trace: IterationTrace,
     ) -> None:
         self._sim = sim
-        self._problem = problem
         self._scenario = scenario
         self._trace = trace
-        self._arch = problem.architecture
-        self._comm = problem.communication
-        self._routing = problem.routing
-        self._busy_until: Dict[str, float] = {
-            link: 0.0 for link in self._arch.link_names
-        }
+        self._transfers = transfers = problem.transfers
+        self._is_bus = transfers.is_bus
+        self._busy_until: Dict[str, float] = dict.fromkeys(transfers.is_bus, 0.0)
         #: Set by the executive before the simulation starts.
         self.on_deliver: Optional[DeliverCallback] = None
         self.on_observe: Optional[ObserveCallback] = None
@@ -81,16 +83,28 @@ class NetworkRuntime:
         """Send ``dep``'s data from ``sender`` to every destination.
 
         Grouping mirrors the static planner exactly (same
-        :func:`~repro.core.timeline.split_bus_groups` rule), so the
+        :func:`~repro.graphs.transfers.split_bus_groups` rule), so the
         runtime frame structure matches the plan.  The call is
         non-blocking — transmissions complete on their own through
         scheduled callbacks.
         """
-        groups, unicast = split_bus_groups(self._problem, dep, sender, dests)
-        for link_name, served in groups:
-            self._emit(dep, sender, tuple(served), link_name, takeover, payload)
+        transfers = self._transfers
+        groups, unicast = (
+            transfers.bus_splits.get((dep, sender, tuple(dests)))
+            or transfers.split(dep, sender, dests)
+        )
+        for link, duration, served in groups:
+            self._emit(dep, sender, served, link, duration, takeover, payload)
         for dest in unicast:
-            self._start_routed(dep, sender, dest, takeover, payload)
+            hops = (
+                transfers.hop_plans.get((sender, dest, dep))
+                or transfers.hops(dep, sender, dest)
+            )
+            self._forward(dep, hops, 0, takeover, payload)
+
+    def is_bus(self, link: str) -> bool:
+        """True when ``link`` is a multi-point link."""
+        return self._is_bus[link]
 
     # ------------------------------------------------------------------
     # Frame emission on one link
@@ -101,6 +115,7 @@ class NetworkRuntime:
         sender: str,
         dests: Tuple[str, ...],
         link: str,
+        duration: float,
         takeover: bool,
         payload: object = None,
         then: Optional[Callable[[float], None]] = None,
@@ -109,7 +124,6 @@ class NetworkRuntime:
 
         ``then(end_time)`` continues a multi-hop route after delivery.
         """
-        duration = self._comm.duration(dep, link)
         start = max(self._sim.now, self._busy_until[link])
         if not self._scenario.alive_at(sender, start):
             # Fail-stop before transmission: the frame never exists and
@@ -149,36 +163,20 @@ class NetworkRuntime:
 
         self._sim.call_at(end, complete)
 
-    def is_bus(self, link: str) -> bool:
-        """True when ``link`` is a multi-point link."""
-        return self._arch.link(link).is_bus
-
     # ------------------------------------------------------------------
     # Multi-hop transfers
     # ------------------------------------------------------------------
-    def _start_routed(
-        self,
-        dep: DependencyKey,
-        sender: str,
-        dest: str,
-        takeover: bool,
-        payload: object = None,
-    ) -> None:
-        route = self._routing.route_for_dependency(sender, dest, dep, self._comm)
-        hops = route.hops()
-        self._forward(dep, hops, 0, takeover, payload)
-
     def _forward(
         self,
         dep: DependencyKey,
-        hops: List[Tuple[str, str, str]],
+        hops: Tuple[Hop, ...],
         index: int,
         takeover: bool,
         payload: object = None,
     ) -> None:
         if index >= len(hops):
             return
-        hop_from, hop_to, link = hops[index]
+        hop_from, hop_to, link, duration = hops[index]
         is_last = index == len(hops) - 1
 
         def continue_route(_end: float) -> None:
@@ -191,6 +189,7 @@ class NetworkRuntime:
             hop_from,
             (hop_to,),
             link,
+            duration,
             takeover,
             payload,
             then=None if is_last else continue_route,

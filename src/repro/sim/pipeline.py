@@ -114,11 +114,9 @@ def simulate_pipelined(
         raise ValueError("need at least one iteration")
 
     problem = schedule.problem
-    algorithm = problem.algorithm
+    plan = schedule.executive_plan()
     scenario = scenario or FailureScenario.none()
-    scenario.check_against(
-        problem.architecture.processor_names, problem.architecture.link_names
-    )
+    scenario.check_against(plan.processors, plan.links)
 
     sim = Simulator()
     trace = IterationTrace(scenario_name=f"pipelined(T={period:g})")
@@ -127,12 +125,10 @@ def simulate_pipelined(
     data: Dict[Tuple[DependencyKey, str, int], Event] = {}
     produced: Dict[Tuple[str, str, int], Event] = {}
     for iteration in range(iterations):
-        for dep in algorithm.dependencies:
-            for proc in problem.architecture.processor_names:
-                data[(dep.key, proc, iteration)] = sim.event()
-        for op in algorithm.operation_names:
-            for proc in problem.architecture.processor_names:
-                produced[(op, proc, iteration)] = sim.event()
+        for (dep, proc), _name in plan.data_events:
+            data[(dep, proc, iteration)] = sim.event()
+        for (op, proc), _name in plan.produced_events:
+            produced[(op, proc, iteration)] = sim.event()
 
     def on_deliver(dep: DependencyKey, dest: str, time: float, payload) -> None:
         iteration = payload
@@ -141,7 +137,7 @@ def simulate_pipelined(
     network.on_deliver = on_deliver
     network.on_observe = lambda *args: None
 
-    outputs = set(algorithm.outputs)
+    outputs = plan.outputs
     completion: Dict[int, float] = {}
     #: First production date per (iteration, output operation).
     first_output: Dict[Tuple[int, str], float] = {}
@@ -150,29 +146,28 @@ def simulate_pipelined(
         return scenario.alive_at(proc, sim.now)
 
     def computation_unit(proc: str):
-        timeline = schedule.processor_timeline(proc)
+        timeline = plan.timeline[proc]
         for iteration in range(iterations):
             release = iteration * period
-            for placement in timeline:
-                op = placement.op
-                preds = algorithm.predecessors(op)
-                if not preds and sim.now < release:
+            for row in timeline:
+                op = row.op
+                if not row.inputs and sim.now < release:
                     # Input extios sample the event of *this* iteration,
                     # which exists only from its release date on.
                     yield Delay(release - sim.now)
-                for pred in preds:
-                    yield Wait(data[((pred, op), proc, iteration)])
+                for _pred, dep in row.inputs:
+                    yield Wait(data[(dep, proc, iteration)])
                 if not alive(proc):
                     return
                 start = sim.now
-                yield Delay(problem.execution.duration(op, proc))
+                yield Delay(row.duration)
                 end = sim.now
                 if not scenario.alive_through(proc, start, end):
                     return
-                for dep in algorithm.out_dependencies(op):
-                    sim.fire(data[(dep.key, proc, iteration)])
+                for dep in row.out_deps:
+                    sim.fire(data[(dep, proc, iteration)])
                 sim.fire(produced[(op, proc, iteration)])
-                if op in outputs:
+                if row.is_output:
                     key = (iteration, op)
                     if key not in first_output:
                         first_output[key] = end
@@ -183,51 +178,25 @@ def simulate_pipelined(
                             first_output[(iteration, out)] for out in outputs
                         )
 
-    def destinations(dep: DependencyKey) -> List[str]:
-        src, dst = dep
-        return sorted(
-            proc
-            for proc in schedule.processors_of(dst)
-            if schedule.replica_on(src, proc) is None
-        )
-
     def sender(op: str, proc: str):
-        releases = {
-            dep.key: min(
-                (
-                    slot.start
-                    for slot in schedule.comms_for_dependency(dep.key)
-                    if slot.hop == 0 and slot.sender == proc
-                ),
-                default=None,
-            )
-            for dep in algorithm.out_dependencies(op)
-        }
+        sends = plan.sends[(op, proc)]
         for iteration in range(iterations):
             yield Wait(produced[(op, proc, iteration)])
             if not alive(proc):
                 return
-            for dep in algorithm.out_dependencies(op):
-                dests = [d for d in destinations(dep.key) if d != proc]
-                if not dests:
-                    continue
-                planned = releases[dep.key]
+            for dep, planned, dests in sends:
                 if planned is not None:
                     target = iteration * period + planned
                     if sim.now < target:
                         yield Delay(target - sim.now)
                 if not alive(proc):
                     return
-                network.dispatch(dep.key, proc, dests, payload=iteration)
+                network.dispatch(dep, proc, dests, payload=iteration)
 
-    for proc in problem.architecture.processor_names:
+    for proc in plan.processors:
         sim.process(computation_unit(proc))
-    for op in schedule.operations:
-        if schedule.semantics is ScheduleSemantics.SOLUTION2:
-            for replica in schedule.replicas(op):
-                sim.process(sender(op, replica.processor))
-        else:
-            sim.process(sender(op, schedule.main_replica(op).processor))
+    for op, proc in plan.senders:
+        sim.process(sender(op, proc))
 
     sim.run()
 

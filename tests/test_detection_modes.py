@@ -103,6 +103,32 @@ class TestFigure8Chain:
             assert trace.completed == verdicts[frozenset({victim})], victim
 
 
+def _with_minimal_deadlines(schedule):
+    """A frozen copy of ``schedule`` whose timeout table carries the
+    zero-drain-margin deadlines (built through the public API)."""
+    from dataclasses import replace
+
+    from repro.core.schedule import Schedule
+    from repro.core.timeouts import minimal_timeout_table
+
+    minimal = minimal_timeout_table(schedule)
+    tight = Schedule(schedule.problem, schedule.semantics)
+    for replica in schedule.all_replicas():
+        tight.add_replica(replica)
+    for slot in schedule.comms:
+        tight.add_comm(slot)
+    for entry in schedule.timeouts:
+        tight.add_timeout(replace(
+            entry,
+            deadline=minimal[
+                (entry.op, entry.dependency, entry.watcher, entry.rank)
+            ],
+        ))
+    tight.freeze()
+    assert tight.timeouts != schedule.timeouts, "no deadline was tightened"
+    return tight
+
+
 class TestTimeoutLadderEdgeCases:
     """Edge cases of the ``core/timeouts.py`` ladders under the
     executive: coalesced skips that re-arm the next rung, rungs whose
@@ -166,22 +192,7 @@ class TestTimeoutLadderEdgeCases:
         DEADLINE_SLACK tie-break must hand the race to the observation:
         a failure-free run under the minimal table sees no spurious
         detection and no takeover traffic."""
-        import copy
-        from dataclasses import replace
-
-        from repro.core.timeouts import minimal_timeout_table
-
-        minimal = minimal_timeout_table(ladder_schedule)
-        tight = copy.deepcopy(ladder_schedule)
-        tight._timeouts = [
-            replace(
-                entry,
-                deadline=minimal[
-                    (entry.op, entry.dependency, entry.watcher, entry.rank)
-                ],
-            )
-            for entry in ladder_schedule.timeouts
-        ]
+        tight = _with_minimal_deadlines(ladder_schedule)
         trace = simulate(tight)
         assert trace.completed
         assert trace.detections == []
@@ -190,22 +201,7 @@ class TestTimeoutLadderEdgeCases:
     def test_minimal_deadlines_still_cover_takeover(self, ladder_schedule):
         """The same zero-margin table must stay *sound*: a real crash
         is still detected and the takeover still delivers."""
-        import copy
-        from dataclasses import replace
-
-        from repro.core.timeouts import minimal_timeout_table
-
-        minimal = minimal_timeout_table(ladder_schedule)
-        tight = copy.deepcopy(ladder_schedule)
-        tight._timeouts = [
-            replace(
-                entry,
-                deadline=minimal[
-                    (entry.op, entry.dependency, entry.watcher, entry.rank)
-                ],
-            )
-            for entry in ladder_schedule.timeouts
-        ]
+        tight = _with_minimal_deadlines(ladder_schedule)
         trace = simulate(tight, FailureScenario.crash("P1", at=1.0))
         assert trace.completed
         assert any(d.suspect == "P1" for d in trace.detections)

@@ -400,9 +400,15 @@ def test_ft209_solution1_sender():
 def test_ft210_solution2_replication():
     problem = paper.second_example_problem(failures=1)
     schedule = schedule_solution2(problem).schedule
-    victim = next(i for i, s in enumerate(schedule._comms) if s.hop == 0)
-    schedule._comms.pop(victim)
-    report = lint_schedule(schedule)
+    comms = schedule.comms
+    victim = next(i for i, s in enumerate(comms) if s.hop == 0)
+    comms.pop(victim)
+    corrupted = Schedule(problem, schedule.semantics)
+    for replica in schedule.all_replicas():
+        corrupted.add_replica(replica)
+    for slot in comms:
+        corrupted.add_comm(slot)
+    report = lint_schedule(corrupted.freeze())
     assert "FT210" in error_rules(report)
 
 

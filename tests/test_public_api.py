@@ -20,6 +20,7 @@ MODULES = [
     "repro.graphs.architecture",
     "repro.graphs.constraints",
     "repro.graphs.routing",
+    "repro.graphs.transfers",
     "repro.graphs.problem",
     "repro.graphs.generators",
     "repro.graphs.io",
@@ -28,6 +29,7 @@ MODULES = [
     "repro.core",
     "repro.core.pressure",
     "repro.core.schedule",
+    "repro.core.plan",
     "repro.core.timeline",
     "repro.core.list_scheduler",
     "repro.core.syndex",
