@@ -7,11 +7,11 @@ Two ideas make the proof both *sound* and *finite*:
    branch structure of the generated executive (planned time-triggered
    sends, timeout-ladder watchdogs with one-shot stand-down, link
    serialization, store-and-forward relays).  Every branch that
-   depends on a crash date goes through :meth:`_AbstractRun._alive_at`
-   / :meth:`_AbstractRun._alive_through`, which record the compared
-   date as a *guard*.  The run's verdict is therefore valid for every
-   crash-date assignment in the maximal region around the
-   representative in which no guard flips.
+   depends on a crash date goes through :meth:`_Run._alive_at` /
+   :meth:`_Run._alive_through`, which record the compared date as a
+   *guard*.  The run's verdict is therefore valid for every crash-date
+   assignment in the maximal region around the representative in which
+   no guard flips.
 
 2. **Region refinement.**  For each crash subset S (|S| ≤ K) the
    verifier partitions the crash-date space ``[0, ∞)^S`` along the
@@ -28,6 +28,18 @@ extended with q crashing after all activity (identical trajectory).
 Proven-dead subsets therefore retire all their supersets
 (``proof.pruned``).
 
+A run is a table-driven interpreter without generators or closures
+(:class:`_Program` holds the static process tables, :class:`_Run` a
+few flat containers of state: fired events, per-process state tuples
+with wake tokens, a heap of plain ``(time, seq, kind, a, b)`` entries,
+fail flags and link frontiers).  Because that state is cheap to copy,
+each proof runs the fault-free iteration once and snapshots it before
+every new event date (:class:`_Checkpoints`); every evaluation then
+starts from the latest snapshot whose *horizon* — the largest date any
+crash check had compared against — lies below all of its crash dates,
+instead of replaying the shared fault-free prefix from t=0.  Events
+processed, over every run of a proof, are counted as ``proof.events``.
+
 No simulator module is imported: everything runs on the compiled
 :class:`~repro.lint.proof.automaton.DeliveryAutomaton`.
 """
@@ -37,9 +49,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ...core.plan import DEADLINE_SLACK
 from ...core.schedule import Schedule, ScheduleSemantics
@@ -60,85 +72,22 @@ DependencyKey = Tuple[str, str]
 
 
 # ----------------------------------------------------------------------
-# A minimal deterministic event kernel (mirrors the executive's:
-# time-ordered heap, sequence-number tie-break, one-shot events,
-# synchronous resume on already-fired events, deferred waiter wakeup).
-# ----------------------------------------------------------------------
-class _Event:
-    __slots__ = ("fired", "_waiters")
-
-    def __init__(self) -> None:
-        self.fired = False
-        self._waiters: List = []
-
-
-class _Kernel:
-    def __init__(self) -> None:
-        self.now = 0.0
-        self._heap: List[tuple] = []
-        self._seq = itertools.count()
-
-    def call_at(self, time: float, callback) -> None:
-        heapq.heappush(
-            self._heap, (max(time, self.now), next(self._seq), callback)
-        )
-
-    def fire(self, event: _Event) -> None:
-        if event.fired:
-            return
-        event.fired = True
-        waiters, event._waiters = event._waiters, []
-        for callback in waiters:
-            self.call_at(self.now, callback)
-
-    def process(self, body) -> None:
-        self.call_at(self.now, lambda: self._step(body, None))
-
-    def _step(self, body, send_value) -> None:
-        try:
-            command = body.send(send_value)
-        except StopIteration:
-            return
-        kind = command[0]
-        if kind == "delay":
-            self.call_at(self.now + command[1], lambda: self._step(body, None))
-        elif kind == "wait":
-            self._wait_any(body, (command[1],), None, single=True)
-        else:  # "waitany"
-            self._wait_any(body, command[1], command[2], single=False)
-
-    def _wait_any(self, body, events, deadline, single) -> None:
-        done = {"resumed": False}
-
-        def resume(result) -> None:
-            if done["resumed"]:
-                return
-            done["resumed"] = True
-            self._step(body, result)
-
-        for index, event in enumerate(events):
-            if event.fired:
-                resume(None if single else index)
-                return
-        for index, event in enumerate(events):
-            def on_fire(idx=index):
-                resume(None if single else idx)
-
-            event._waiters.append(on_fire)
-        if deadline is not None:
-            self.call_at(deadline, lambda: resume(None))
-
-    def run(self) -> None:
-        heap = self._heap
-        while heap:
-            time, _seq, callback = heapq.heappop(heap)
-            self.now = time
-            callback()
-
-
-# ----------------------------------------------------------------------
 # One abstract run: concrete crash dates in, verdict + guards out
 # ----------------------------------------------------------------------
+#: Heap entry kinds.  An entry is ``(time, seq, kind, a, b)``: ``seq``
+#: breaks time ties in push order (so ``kind``, ``a`` and ``b`` never
+#: compare); ``_RESUME``/``_FIRED`` wake process ``a`` if its wake token
+#: is still ``b`` (``_FIRED``: by the event it waits on, ``_RESUME``: by
+#: its spawn, delay or deadline); ``_FRAME`` completes frame ``a``.
+_RESUME, _FIRED, _FRAME = 0, 1, 2
+
+#: Process kinds, in the executive's spawn order.
+_UNIT, _SENDER, _WATCHDOG = 0, 1, 2
+
+#: Wake token of a process that has returned.
+_DONE = -1
+
+
 @dataclass
 class _Race:
     """A takeover frame that stood watchers down and was then lost."""
@@ -150,168 +99,344 @@ class _Race:
     stood_down: Tuple[Tuple[str, int], ...] = ()
 
 
-class _AbstractRun:
-    """Interpret the automaton under permanent crash dates ``crashes``.
+def _copied(state: tuple) -> tuple:
+    """``state`` with every container copied (their items are immutable)."""
+    return tuple(
+        value.copy() if hasattr(value, "copy") else value for value in state
+    )
 
-    Records, per crashed processor, every date its crash time was
-    compared against (the *guards*), plus the delivery bookkeeping the
-    proof artifact and the FT4xx rules need.
+
+class _Program:
+    """The automaton's processes as flat tables, with integer event ids.
+
+    Every process of the executive is a static record plus a small
+    state tuple, so a whole run is a handful of flat containers that
+    :class:`_Checkpoints` can copy.  Process ``pid`` is, in spawn
+    order: one computation unit per processor (``(proc, rows)``, a row
+    being ``(input event ids, duration, output data event ids, produced
+    event id, op, is_output)``), one replica sender per planned sender
+    (``(op, proc, produced event id, frames)``) and one watchdog per
+    Solution-1 ladder (``(op, dep, watcher, ((candidate, deadline),
+    ...), observed event id, produced event id, takeover destinations)``).
     """
 
-    def __init__(
-        self,
-        auto: DeliveryAutomaton,
-        crashes: Dict[str, float],
-        known_failed: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, auto: DeliveryAutomaton) -> None:
         self.auto = auto
         self.plan = plan = auto.plan
         self.transfers = auto.problem.transfers
         self.oracle = auto.detection == "oracle"
+        self.snoop_recovery = auto.snoop_recovery
+        self.solution2 = plan.semantics is ScheduleSemantics.SOLUTION2
+        ids = itertools.count()
+        self.data = {key: next(ids) for key, _name in plan.data_events}
+        self.produced = {key: next(ids) for key, _name in plan.produced_events}
+        self.observed = {key: next(ids) for key, _name in plan.observed_events}
+        self.event_count = next(ids)
+
+        kinds, statics, states = [], [], []
+        for proc in plan.processors:
+            rows = tuple(
+                (
+                    tuple(self.data[(dep, proc)] for _pred, dep in row.inputs),
+                    row.duration,
+                    tuple(self.data[(dep, proc)] for dep in row.out_deps),
+                    self.produced[(row.op, proc)],
+                    row.op,
+                    row.is_output,
+                )
+                for row in plan.timeline[proc]
+            )
+            kinds.append(_UNIT)
+            statics.append((proc, rows))
+            states.append((0, 0, False))  # (row, input, executing)
+        for op, proc in plan.senders:
+            kinds.append(_SENDER)
+            statics.append(
+                (op, proc, self.produced[(op, proc)], plan.sends[(op, proc)])
+            )
+            states.append((0, (), 0))  # (phase, frames, frame index)
+        for op, dep, watcher in plan.watch_order:
+            rungs = tuple(
+                (rung.candidate, rung.deadline + DEADLINE_SLACK)
+                for rung in plan.ladders[(op, dep, watcher)]
+            )
+            kinds.append(_WATCHDOG)
+            statics.append((
+                op, dep, watcher, rungs,
+                self.observed[dep],
+                self.produced[(op, watcher)],
+                tuple(d for d in plan.destinations[dep] if d != watcher),
+            ))
+            states.append((0, 0))  # (phase, rung index)
+        self.kinds = tuple(kinds)
+        self.statics = tuple(statics)
+        self._states = tuple(states)
+
+    def initial_state(self, known_failed: Iterable[str] = ()) -> tuple:
+        """The run state at t=0: every process spawned, nothing fired."""
+        count = len(self.kinds)
+        flagged = frozenset(known_failed)
+        return (
+            0.0,  # now
+            count,  # next heap sequence number
+            [(0.0, pid, _RESUME, pid, 0) for pid in range(count)],
+            bytearray(self.event_count),  # fired
+            {},  # waiters: event -> ((pid, token), ...)
+            list(self._states),
+            [0] * count,  # wake tokens
+            {proc: flagged for proc in self.plan.processors},
+            dict.fromkeys(self.transfers.is_bus, 0.0),  # link frontiers
+            set(),  # outputs done
+            {},  # delivery source: (dep, dest) -> (kind, sender, rank)
+            {},  # observed cause: dep -> (cause, sender, date)
+            [],  # stand-downs: (op, dep, watcher, rung, date)
+            [],  # lost takeovers: (dep, dispatcher, dispatch date, frame end)
+            0,  # detections
+            -math.inf,  # horizon
+        )
+
+
+class _Run:
+    """Interpret the automaton under permanent crash dates ``crashes``.
+
+    The run starts from ``state`` (:meth:`_Program.initial_state` or a
+    :class:`_Checkpoints` snapshot, copied, never modified) and
+    follows exactly the branch structure of the generated executive:
+    planned time-triggered sends, timeout-ladder watchdogs with
+    one-shot stand-down, link serialization, store-and-forward relays.
+    It records, per crashed processor, every date its crash time was
+    compared against (the *guards*), the largest date any check
+    compared against (the *horizon*), and the delivery bookkeeping the
+    proof artifact and the FT4xx rules need.
+    """
+
+    def __init__(
+        self, program: _Program, crashes: Dict[str, float], state: tuple
+    ) -> None:
+        self.program = program
+        self.plan = program.plan
         self.crashes = crashes
         self.guards: Dict[str, Set[float]] = {p: set() for p in crashes}
-        self.kernel = _Kernel()
-        self.busy: Dict[str, float] = dict.fromkeys(self.transfers.is_bus, 0.0)
-        self.flags: Dict[str, Set[str]] = {
-            proc: set(known_failed) for proc in plan.processors
-        }
-        self.data: Dict[Tuple[DependencyKey, str], _Event] = {
-            key: _Event() for key, _name in plan.data_events
-        }
-        self.produced: Dict[Tuple[str, str], _Event] = {
-            key: _Event() for key, _name in plan.produced_events
-        }
-        self.observed: Dict[DependencyKey, _Event] = {
-            key: _Event() for key, _name in plan.observed_events
-        }
-        # Bookkeeping ---------------------------------------------------
-        self.outputs_done: Set[str] = set()
-        self.delivery_source: Dict[
-            Tuple[DependencyKey, str], Tuple[str, str, int]
-        ] = {}
-        self.observed_cause: Dict[DependencyKey, Tuple[str, str, float]] = {}
-        self.stand_downs: List[Tuple[str, DependencyKey, str, int, float]] = []
-        self.lost_takeovers: List[_Race] = []
-        self.detections = 0
+        self.events = 0
+        (
+            self.now, self.seq, self.heap, self.fired, self.waiters,
+            self.states, self.tokens, self.flags, self.busy,
+            self.outputs_done, self.delivery_source, self.observed_cause,
+            self.stand_downs, self.lost_takeovers, self.detections,
+            self.horizon,
+        ) = _copied(state)
+        self._bodies = (self._unit, self._sender, self._watchdog)
+
+    def snapshot(self) -> tuple:
+        """The run state, in :meth:`_Program.initial_state` layout."""
+        return _copied((
+            self.now, self.seq, self.heap, self.fired, self.waiters,
+            self.states, self.tokens, self.flags, self.busy,
+            self.outputs_done, self.delivery_source, self.observed_cause,
+            self.stand_downs, self.lost_takeovers, self.detections,
+            self.horizon,
+        ))
 
     # -- crash predicates (every call records a guard) ------------------
     def _alive_at(self, proc: str, time: float) -> bool:
+        if time > self.horizon:
+            self.horizon = time
         at = self.crashes.get(proc)
         if at is None:
             return True
         self.guards[proc].add(time)
         return time < at
 
-    def _alive_through(self, proc: str, start: float, end: float) -> bool:
-        at = self.crashes.get(proc)
-        if at is None:
-            return True
-        self.guards[proc].add(end)
-        return end < at
+    #: ``_alive_through(proc, end)``: alive over a whole activity ending
+    #: at ``end`` (a frame grant checks it before the frame runs).
+    _alive_through = _alive_at
 
-    # -- processes (mirror the executive's spawn order and branches) ----
-    def execute(self) -> "_AbstractRun":
-        plan = self.plan
-        for proc in plan.processors:
-            self.kernel.process(self._computation_unit(proc))
-        for op, proc in plan.senders:
-            self.kernel.process(self._replica_sender(op, proc))
-        for op, dep, watcher in plan.watch_order:
-            self.kernel.process(self._watchdog(op, dep, watcher))
-        self.kernel.run()
+    # -- the event loop -------------------------------------------------
+    def execute(self, checkpoints: Optional["_Checkpoints"] = None) -> "_Run":
+        """Run to quiescence; with ``checkpoints``, store a snapshot
+        before the first event of every new date."""
+        heap = self.heap
+        tokens = self.tokens
+        bodies = self._bodies
+        kinds = self.program.kinds
+        pop = heapq.heappop
+        while heap:
+            if checkpoints is not None and heap[0][0] > self.now:
+                checkpoints.add(self)
+            self.now, _seq, kind, a, b = pop(heap)
+            self.events += 1
+            if kind == _FRAME:
+                self._complete(a)
+            elif tokens[a] == b:
+                bodies[kinds[a]](a, kind == _FIRED)
         return self
 
-    def _computation_unit(self, proc: str):
-        for row in self.plan.timeline[proc]:
-            for _pred, dep in row.inputs:
-                yield ("wait", self.data[(dep, proc)])
-            if not self._alive_at(proc, self.kernel.now):
-                return
-            start = self.kernel.now
-            yield ("delay", row.duration)
-            end = self.kernel.now
-            if not self._alive_through(proc, start, end):
-                return
-            for dep in row.out_deps:
-                self.kernel.fire(self.data[(dep, proc)])
-            self.kernel.fire(self.produced[(row.op, proc)])
-            if row.is_output:
-                self.outputs_done.add(row.op)
+    def _push(self, time: float, kind: int, a, b) -> None:
+        now = self.now
+        heapq.heappush(self.heap, (time if time > now else now, self.seq, kind, a, b))
+        self.seq += 1
 
-    def _replica_sender(self, op: str, proc: str):
-        yield ("wait", self.produced[(op, proc)])
-        if not self._alive_at(proc, self.kernel.now):
+    def _block(self, pid: int) -> int:
+        """A fresh wake token for ``pid``: older heap entries go stale."""
+        token = self.tokens[pid] + 1
+        self.tokens[pid] = token
+        return token
+
+    def _wait(self, pid: int, event: int) -> int:
+        token = self._block(pid)
+        self.waiters[event] = self.waiters.get(event, ()) + ((pid, token),)
+        return token
+
+    def _sleep(self, pid: int, time: float) -> None:
+        self._push(time, _RESUME, pid, self._block(pid))
+
+    def _fire(self, event: int) -> None:
+        if self.fired[event]:
             return
-        flagged = (
-            self.flags[proc]
-            if self.plan.semantics is ScheduleSemantics.SOLUTION2
-            else None
-        )
-        plans = []
-        for dep, release, dests in self.plan.sends[(op, proc)]:
-            if flagged:
-                dests = tuple(d for d in dests if d not in flagged)
-                if not dests:
-                    continue
-            plans.append(
-                (release if release is not None else self.kernel.now, dep, dests)
-            )
-        # (release, dependency) is unique per sender: dests never compare.
-        plans.sort()
-        for release, dep, dests in plans:
-            if self.kernel.now < release:
-                yield ("delay", release - self.kernel.now)
-            if not self._alive_at(proc, self.kernel.now):
-                return
-            self._dispatch(dep, proc, dests, takeover=False)
+        self.fired[event] = 1
+        waiters = self.waiters.pop(event, None)
+        if waiters:
+            tokens = self.tokens
+            for pid, token in waiters:
+                if tokens[pid] == token:
+                    self._push(self.now, _FIRED, pid, token)
 
-    def _watchdog(self, op: str, dep: DependencyKey, watcher: str):
-        ladder = self.plan.ladders[(op, dep, watcher)]
-        observed = self.observed[dep]
-        for index, rung in enumerate(ladder):
-            if not self._alive_at(watcher, self.kernel.now):
+    # -- processes (mirror the executive's spawn order and branches) ----
+    # A process resumes only when its awaited event has fired (events
+    # are one-shot), so re-testing ``fired`` on resume is the wait's
+    # own "already fired" fast path.
+    def _unit(self, pid: int, _by_event: bool) -> None:
+        proc, rows = self.program.statics[pid]
+        row, waited, executing = self.states[pid]
+        fired = self.fired
+        if executing:
+            _inputs, _duration, out_data, produced, op, is_output = rows[row]
+            if not self._alive_through(proc, self.now):
+                self.tokens[pid] = _DONE
                 return
-            if rung.candidate in self.flags[watcher]:
-                continue  # coalesced skip: already known faulty, no wait
-            outcome = yield (
-                "waitany",
-                (observed,),
-                rung.deadline + DEADLINE_SLACK,
-            )
-            if not self._alive_at(watcher, self.kernel.now):
+            for event in out_data:
+                self._fire(event)
+            self._fire(produced)
+            if is_output:
+                self.outputs_done.add(op)
+            row, waited = row + 1, 0
+        while row < len(rows):
+            inputs, duration = rows[row][:2]
+            while waited < len(inputs):
+                if not fired[inputs[waited]]:
+                    self.states[pid] = (row, waited, False)
+                    self._wait(pid, inputs[waited])
+                    return
+                waited += 1
+            if not self._alive_at(proc, self.now):
+                break
+            self.states[pid] = (row, waited, True)
+            self._sleep(pid, self.now + duration)
+            return
+        self.tokens[pid] = _DONE
+
+    def _sender(self, pid: int, _by_event: bool) -> None:
+        op, proc, produced, sends = self.program.statics[pid]
+        phase, frames, index = self.states[pid]
+        delayed = phase == 1  # resumed from frames[index]'s release delay
+        if phase == 0:
+            if not self.fired[produced]:
+                self._wait(pid, produced)
                 return
-            if outcome is not None:
-                self.stand_downs.append(
-                    (op, dep, watcher, index, self.kernel.now)
+            if not self._alive_at(proc, self.now):
+                self.tokens[pid] = _DONE
+                return
+            flagged = self.flags[proc] if self.program.solution2 else None
+            plans = []
+            for dep, release, dests in sends:
+                if flagged:
+                    dests = tuple(d for d in dests if d not in flagged)
+                    if not dests:
+                        continue
+                plans.append(
+                    (release if release is not None else self.now, dep, dests)
                 )
-                return  # one-shot stand-down edge
-            if rung.candidate not in self.flags[watcher]:
-                self.flags[watcher].add(rung.candidate)
+            # (release, dependency) is unique per sender: dests never compare.
+            plans.sort()
+            frames = tuple(plans)
+        while index < len(frames):
+            release, dep, dests = frames[index]
+            if not delayed and self.now < release:
+                self.states[pid] = (1, frames, index)
+                self._sleep(pid, self.now + (release - self.now))
+                return
+            delayed = False
+            if not self._alive_at(proc, self.now):
+                break
+            self._dispatch(dep, proc, dests, takeover=False)
+            index += 1
+        self.tokens[pid] = _DONE
+
+    def _watchdog(self, pid: int, by_event: bool) -> None:
+        op, dep, watcher, rungs, observed, produced, dests = (
+            self.program.statics[pid]
+        )
+        phase, index = self.states[pid]
+        fired = self.fired
+        if phase == 1:  # resumed from rung ``index``: observed or timed out
+            if not self._alive_at(watcher, self.now):
+                self.tokens[pid] = _DONE
+                return
+            if by_event:
+                self._stand_down(pid, op, dep, watcher, index)
+                return
+            candidate = rungs[index][0]
+            if candidate not in self.flags[watcher]:
+                self.flags[watcher] |= {candidate}
                 self.detections += 1
-        if observed.fired:
-            self.stand_downs.append(
-                (op, dep, watcher, len(ladder), self.kernel.now)
-            )
+            index += 1
+        if phase != 2:
+            while index < len(rungs):
+                if not self._alive_at(watcher, self.now):
+                    self.tokens[pid] = _DONE
+                    return
+                candidate, deadline = rungs[index]
+                if candidate in self.flags[watcher]:
+                    index += 1
+                    continue  # coalesced skip: already known faulty, no wait
+                if fired[observed]:
+                    # Already observed: the wait returns at once, and the
+                    # liveness re-check at the same date is the one above.
+                    self._stand_down(pid, op, dep, watcher, index)
+                    return
+                self.states[pid] = (1, index)
+                self._push(deadline, _RESUME, pid, self._wait(pid, observed))
+                return
+            if fired[observed]:
+                self._stand_down(pid, op, dep, watcher, len(rungs))
+                return
+        if not fired[produced]:
+            self.states[pid] = (2, index)
+            self._wait(pid, produced)
             return
-        yield ("wait", self.produced[(op, watcher)])
-        if not self._alive_at(watcher, self.kernel.now):
+        self.tokens[pid] = _DONE
+        if not self._alive_at(watcher, self.now):
             return
-        dests = [d for d in self.plan.destinations[dep] if d != watcher]
         if dests:
             self._dispatch(dep, watcher, dests, takeover=True)
         self._fire_observed(dep, "takeover-dispatch", watcher)
 
+    def _stand_down(self, pid, op, dep, watcher, index) -> None:
+        """The one-shot stand-down edge: the watchdog returns."""
+        self.stand_downs.append((op, dep, watcher, index, self.now))
+        self.tokens[pid] = _DONE
+
     # -- network --------------------------------------------------------
     def _dispatch(
-        self, dep: DependencyKey, sender: str, dests: Sequence[str], takeover: bool
+        self, dep: DependencyKey, sender: str, dests: Tuple[str, ...], takeover: bool
     ) -> None:
-        transfers = self.transfers
+        transfers = self.program.transfers
         groups, unicast = (
-            transfers.bus_splits.get((dep, sender, tuple(dests)))
+            transfers.bus_splits.get((dep, sender, dests))
             or transfers.split(dep, sender, dests)
         )
         for link, duration, served in groups:
-            self._emit(dep, sender, served, link, duration, takeover, then=None)
+            self._emit(dep, sender, served, link, duration, takeover, None, 0)
         for dest in unicast:
             hops = (
                 transfers.hop_plans.get((sender, dest, dep))
@@ -324,65 +449,65 @@ class _AbstractRun:
             return
         hop_from, hop_to, link, duration = hops[index]
         is_last = index == len(hops) - 1
-
-        def continue_route(_end):
-            self._forward(dep, hops, index + 1, takeover)
-
         self._emit(
-            dep,
-            hop_from,
-            (hop_to,),
-            link,
-            duration,
-            takeover,
-            then=None if is_last else continue_route,
+            dep, hop_from, (hop_to,), link, duration, takeover,
+            None if is_last else hops, index + 1,
         )
 
-    def _emit(self, dep, sender, dests, link, duration, takeover, then) -> None:
-        start = max(self.kernel.now, self.busy[link])
+    def _emit(
+        self, dep, sender, dests, link, duration, takeover, hops, next_hop
+    ) -> None:
+        """Grant ``link`` to one frame; ``hops[next_hop:]`` (when
+        ``hops`` is given) continue the route once it completes."""
+        start = self.now
+        if self.busy[link] > start:
+            start = self.busy[link]
         if not self._alive_at(sender, start):
             return  # fail-stop before grant: frame never exists
         end = start + duration
         self.busy[link] = end
-        if not self._alive_through(sender, start, end):
+        if not self._alive_through(sender, end):
             # The frame occupies the link but is lost mid-transmission.
             if takeover:
-                self.lost_takeovers.append(
-                    _Race(dep, sender, self.kernel.now, end)
-                )
+                self.lost_takeovers.append((dep, sender, self.now, end))
             return
+        self._push(
+            end, _FRAME, (dep, sender, dests, link, takeover, hops, next_hop), None
+        )
 
-        def complete():
-            # Snoop detection observes bus frames only; oracle, any frame.
-            if self.oracle or self.transfers.is_bus[link]:
-                self._fire_observed(dep, "frame", sender)
-                if self.auto.snoop_recovery:
-                    for flags in self.flags.values():
-                        flags.discard(sender)
-            for dest in dests:
-                if self._alive_at(dest, end):
-                    self._deliver(dep, dest, sender, takeover)
-            if then is not None:
-                then(end)
-
-        self.kernel.call_at(end, complete)
+    def _complete(self, frame) -> None:
+        dep, sender, dests, link, takeover, hops, next_hop = frame
+        program = self.program
+        # Snoop detection observes bus frames only; oracle, any frame.
+        if program.oracle or program.transfers.is_bus[link]:
+            self._fire_observed(dep, "frame", sender)
+            if program.snoop_recovery:
+                flags = self.flags
+                for proc, flagged in flags.items():
+                    if sender in flagged:
+                        flags[proc] = flagged - {sender}
+        for dest in dests:
+            if self._alive_at(dest, self.now):
+                self._deliver(dep, dest, sender, takeover)
+        if hops is not None:
+            self._forward(dep, hops, next_hop, takeover)
 
     def _deliver(self, dep, dest, sender, takeover) -> None:
-        event = self.data[(dep, dest)]
-        if not event.fired:
+        event = self.program.data[(dep, dest)]
+        if not self.fired[event]:
             kind = "takeover" if takeover else "planned"
             self.delivery_source[(dep, dest)] = (
                 kind,
                 sender,
                 self.plan.rank.get((dep[0], sender), 0),
             )
-        self.kernel.fire(event)
+        self._fire(event)
 
     def _fire_observed(self, dep, cause: str, sender: str) -> None:
-        event = self.observed[dep]
-        if not event.fired:
-            self.observed_cause[dep] = (cause, sender, self.kernel.now)
-        self.kernel.fire(event)
+        event = self.program.observed[dep]
+        if not self.fired[event]:
+            self.observed_cause[dep] = (cause, sender, self.now)
+        self._fire(event)
 
     # -- verdict --------------------------------------------------------
     @property
@@ -398,12 +523,13 @@ class _AbstractRun:
     def undelivered(self) -> List[Tuple[DependencyKey, str]]:
         """(dep, destination) pairs where a *surviving* consumer
         replica never received the data it depends on."""
+        data = self.program.data
         starved = []
         for dep, dests in sorted(self.plan.destinations.items()):
             for dest in dests:
                 if dest in self.crashes:
                     continue
-                if not self.data[(dep, dest)].fired:
+                if not self.fired[data[(dep, dest)]]:
                     starved.append((dep, dest))
         return starved
 
@@ -411,28 +537,22 @@ class _AbstractRun:
         """Lost takeover frames whose dispatch-time observe retired
         watchers that still held armed rungs — the stand-down race."""
         out = []
-        for race in self.lost_takeovers:
-            cause = self.observed_cause.get(race.dep)
+        for dep, dispatcher, dispatch_time, frame_end in self.lost_takeovers:
+            cause = self.observed_cause.get(dep)
             if not cause or cause[0] != "takeover-dispatch":
                 continue
-            if cause[1] != race.dispatcher:
+            if cause[1] != dispatcher:
                 continue
             stood = tuple(
                 (watcher, index)
-                for (op, dep, watcher, index, time) in self.stand_downs
-                if dep == race.dep
-                and watcher != race.dispatcher
-                and time >= race.dispatch_time
+                for (_op, stood_dep, watcher, index, time) in self.stand_downs
+                if stood_dep == dep
+                and watcher != dispatcher
+                and time >= dispatch_time
             )
             if stood:
                 out.append(
-                    _Race(
-                        race.dep,
-                        race.dispatcher,
-                        race.dispatch_time,
-                        race.frame_end,
-                        stood,
-                    )
+                    _Race(dep, dispatcher, dispatch_time, frame_end, stood)
                 )
         return out
 
@@ -443,6 +563,43 @@ class _AbstractRun:
         return depth
 
 
+class _Checkpoints:
+    """Snapshots of the fault-free run, at most one per event date.
+
+    Before the first event of each new date the fault-free run stores
+    its state and its *horizon*: the largest date any crash check has
+    compared against so far (a granted frame's end date included, which
+    can lie ahead of the checkpoint).  Under crash dates ``c`` every
+    earlier check answered "alive" whenever the horizon is below
+    ``min(c)``, so the crashed run reaches that checkpoint's state
+    exactly, and the guards it skips all lie below every crash date.
+    """
+
+    def __init__(self, program: _Program) -> None:
+        self.program = program
+        initial = program.initial_state()
+        self.horizons: List[float] = [initial[-1]]
+        self.states: List[tuple] = [initial]
+        #: Events the fault-free run processed.
+        self.events = _Run(program, {}, initial).execute(checkpoints=self).events
+
+    def add(self, run: _Run) -> None:
+        if run.horizon == self.horizons[-1]:
+            # Same validity, later start: the new snapshot supersedes.
+            self.states[-1] = run.snapshot()
+        else:
+            self.horizons.append(run.horizon)
+            self.states.append(run.snapshot())
+
+    def start(self, crashes: Dict[str, float]) -> tuple:
+        """The latest snapshot whose horizon lies below every crash date."""
+        first = min(crashes.values(), default=math.inf)
+        return self.states[bisect_left(self.horizons, first) - 1]
+
+    def run(self, crashes: Dict[str, float]) -> _Run:
+        return _Run(self.program, crashes, self.start(crashes)).execute()
+
+
 # ----------------------------------------------------------------------
 # Region sweep over one crash subset
 # ----------------------------------------------------------------------
@@ -451,10 +608,9 @@ class _SubsetResult:
     subset: Tuple[str, ...]
     status: str  # "safe" | "refuted" | "unproven"
     evaluations: int = 0
-    refuted_cells: List[Tuple[tuple, "_AbstractRun"]] = field(
-        default_factory=list
-    )
+    refuted_cells: List[Tuple[tuple, _Run]] = field(default_factory=list)
     classes_collapsed: int = 0
+    events: int = 0
     witness_depth: int = 0
     chains: Dict[DependencyKey, Dict[Tuple[str, str, int], int]] = field(
         default_factory=dict
@@ -471,12 +627,12 @@ def _cell_windows(boundaries, lo: float, hi: float) -> Tuple[int, int]:
 
 
 def _sweep_subset(
-    auto: DeliveryAutomaton,
+    checkpoints: _Checkpoints,
     subset: Tuple[str, ...],
     budget: int,
 ) -> _SubsetResult:
     result = _SubsetResult(subset=subset, status="safe")
-    boundaries = auto.boundaries
+    boundaries = checkpoints.program.auto.boundaries
     worklist: List[tuple] = [tuple((0.0, math.inf) for _ in subset)]
     while worklist:
         cell = worklist.pop()
@@ -484,8 +640,9 @@ def _sweep_subset(
             result.status = "unproven"
             return result
         reps = {p: interval[0] for p, interval in zip(subset, cell)}
-        run = _AbstractRun(auto, reps).execute()
+        run = checkpoints.run(reps)
         result.evaluations += 1
+        result.events += run.events
         # Partition the cell along the recorded guards; the verdict
         # holds on the representative's (guard-free) sub-cell.
         axes = []
@@ -585,7 +742,9 @@ def prove_delivery(
         processors=len(auto.plan.processors),
         failures=failures,
     ):
-        result = _prove(auto, failures, max_evals_per_subset, obs)
+        checkpoints = _Checkpoints(_Program(auto))
+        obs.count("proof.events", checkpoints.events)
+        result = _prove(checkpoints, failures, max_evals_per_subset, obs)
     if (
         probe_beyond
         and result.verdict == "SAFE"
@@ -593,7 +752,10 @@ def prove_delivery(
         and failures + 1 < len(auto.plan.processors)
         and _choose(len(auto.plan.processors), failures + 1) <= 64
     ):
-        beyond = _prove(auto, failures + 1, max_evals_per_subset, obs, sizes=(failures + 1,))
+        beyond = _prove(
+            checkpoints, failures + 1, max_evals_per_subset, obs,
+            sizes=(failures + 1,),
+        )
         if beyond.verdict == "SAFE":
             result.beyond = {
                 "certified_failures": failures,
@@ -610,18 +772,20 @@ def _choose(n: int, k: int) -> int:
 
 
 def _prove(
-    auto: DeliveryAutomaton,
+    checkpoints: _Checkpoints,
     failures: int,
     budget: int,
     obs,
     sizes: Optional[Tuple[int, ...]] = None,
 ) -> ProofResult:
+    auto = checkpoints.program.auto
     processors = auto.plan.processors
     reaches = _reaches_output(auto)
     dead_roots: List[frozenset] = []
     subsets_checked = 0
     pruned = 0
     evaluations = 0
+    events = 0
     classes_collapsed = 0
     witness_depth = 0
     refuted_regions: List[ClassRegion] = []
@@ -647,12 +811,15 @@ def _prove(
                     subset=combo,
                 )
                 refuted_regions.append(region)
+                run = checkpoints.run({proc: 0.0 for proc in combo})
+                events += run.events
                 counterexamples.append(
-                    _certificate_counterexample(auto, combo, dead_op)
+                    _certificate_counterexample(auto, combo, dead_op, run)
                 )
                 continue
-            swept = _sweep_subset(auto, combo, budget)
+            swept = _sweep_subset(checkpoints, combo, budget)
             evaluations += swept.evaluations
+            events += swept.events
             classes_collapsed += swept.classes_collapsed
             witness_depth = max(witness_depth, swept.witness_depth)
             for dep, per_chain in swept.chains.items():
@@ -678,6 +845,7 @@ def _prove(
     obs.count("proof.subsets_checked", subsets_checked)
     obs.count("proof.pruned", pruned)
     obs.count("proof.evaluations", evaluations)
+    obs.count("proof.events", events)
     obs.count("proof.classes_collapsed", classes_collapsed)
 
     if counterexamples:
@@ -711,7 +879,7 @@ def _prove(
     )
 
 
-def _collect_race_findings(run: _AbstractRun, races, never_rearms) -> None:
+def _collect_race_findings(run: _Run, races, never_rearms) -> None:
     undelivered = {dep for dep, _dest in run.undelivered()}
     for race in run.races():
         if race.dep not in undelivered:
@@ -787,11 +955,10 @@ def _cell_counterexample(
 
 
 def _certificate_counterexample(
-    auto: DeliveryAutomaton, subset, dead_op: str
+    auto: DeliveryAutomaton, subset, dead_op: str, run: _Run
 ) -> Counterexample:
-    crashes = {proc: 0.0 for proc in subset}
-    run = _AbstractRun(auto, crashes).execute()
-    cx = _counterexample_from_run(auto, subset, crashes, run)
+    """``run``: the crash of the whole ``subset`` at t=0."""
+    cx = _counterexample_from_run(auto, subset, run.crashes, run)
     cx.narrative = (
         "every replica of %r is hosted on the crashed set %s: production "
         "is impossible from t=0, so this subset (and every superset) is "
@@ -801,7 +968,7 @@ def _certificate_counterexample(
 
 
 def _counterexample_from_run(
-    auto: DeliveryAutomaton, subset, crashes: Dict[str, float], run: _AbstractRun
+    auto: DeliveryAutomaton, subset, crashes: Dict[str, float], run: _Run
 ) -> Counterexample:
     key = tuple(
         sorted(
@@ -871,7 +1038,10 @@ def check_scenario(
     reproducer's own (processor, window)-class.
     """
     auto = compile_automaton(schedule, detection=detection)
-    run = _AbstractRun(auto, dict(crashes), known_failed=known_failed).execute()
+    program = _Program(auto)
+    run = _Run(
+        program, dict(crashes), program.initial_state(known_failed)
+    ).execute()
     cx = None
     if not run.ok:
         cx = _counterexample_from_run(

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["Crash", "LinkCrash", "FailureScenario"]
 
@@ -201,16 +202,21 @@ class FailureScenario:
         """Every processor affected by some crash."""
         return frozenset(crash.processor for crash in self.crashes)
 
+    @cached_property
+    def _crash_by_processor(self) -> Dict[str, Crash]:
+        """Per processor, its first crash: built once per scenario."""
+        by_processor: Dict[str, Crash] = {}
+        for crash in self.crashes:
+            by_processor.setdefault(crash.processor, crash)
+        return by_processor
+
     def crash_of(self, processor: str) -> Optional[Crash]:
         """The crash affecting ``processor``, if any."""
-        for crash in self.crashes:
-            if crash.processor == processor:
-                return crash
-        return None
+        return self._crash_by_processor.get(processor)
 
     def alive_at(self, processor: str, time: float) -> bool:
         """True when ``processor`` works at ``time``."""
-        crash = self.crash_of(processor)
+        crash = self._crash_by_processor.get(processor)
         return crash is None or crash.alive_at(time)
 
     def alive_through(self, processor: str, start: float, end: float) -> bool:
@@ -220,7 +226,7 @@ class FailureScenario:
         completes: fail-stop processors abort whatever they were doing
         (Section 3.1, "fail stop processors").
         """
-        crash = self.crash_of(processor)
+        crash = self._crash_by_processor.get(processor)
         if crash is None:
             return True
         return end < crash.at or start >= crash.until
@@ -247,21 +253,24 @@ class FailureScenario:
 
     def check_against(
         self,
-        processor_names: Iterable[str],
-        link_names: Optional[Iterable[str]] = None,
+        processor_names: Collection[str],
+        link_names: Optional[Collection[str]] = None,
     ) -> None:
-        """Validate that all referenced processors (and links) exist."""
-        known = set(processor_names)
+        """Validate that all referenced processors (and links) exist.
+
+        Only the scenario's own crashes and flags are looked up, so a
+        failure-free scenario costs nothing; pass containers (such as
+        the plan's name tuples) rather than one-shot iterators.
+        """
         for crash in self.crashes:
-            if crash.processor not in known:
+            if crash.processor not in processor_names:
                 raise ValueError(f"unknown processor {crash.processor!r}")
-        unknown_flags = self.known_failed - known
+        unknown_flags = [p for p in self.known_failed if p not in processor_names]
         if unknown_flags:
             raise ValueError(f"unknown processors in flags: {sorted(unknown_flags)}")
         if link_names is not None:
-            links = set(link_names)
             for crash in self.link_crashes:
-                if crash.link not in links:
+                if crash.link not in link_names:
                     raise ValueError(f"unknown link {crash.link!r}")
 
     def __str__(self) -> str:

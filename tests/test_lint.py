@@ -55,6 +55,23 @@ def error_rules(report: LintReport):
     return {d.rule for d in report.errors}
 
 
+def rebuilt(schedule, replicas=None, comms=None, timeouts=None):
+    """A frozen copy of ``schedule`` with any of its tables replaced.
+
+    The copy is built through ``add_replica``/``add_comm``/
+    ``add_timeout``, so the per-processor, per-dependency and
+    per-ladder indexes hold the corruption too.
+    """
+    copy = Schedule(schedule.problem, schedule.semantics)
+    for replica in schedule.all_replicas() if replicas is None else replicas:
+        copy.add_replica(replica)
+    for slot in schedule.comms if comms is None else comms:
+        copy.add_comm(slot)
+    for entry in schedule.timeouts if timeouts is None else timeouts:
+        copy.add_timeout(entry)
+    return copy.freeze()
+
+
 # ----------------------------------------------------------------------
 # Hand-built fixtures small enough to corrupt surgically.
 # ----------------------------------------------------------------------
@@ -305,8 +322,11 @@ def test_ft201_coverage():
         for op in problem.algorithm.operation_names
         if not problem.algorithm.successors(op)
     )
-    schedule._replicas.pop(sink)
-    report = lint_schedule(schedule)
+    corrupted = rebuilt(
+        schedule,
+        replicas=[r for r in schedule.all_replicas() if r.op != sink],
+    )
+    report = lint_schedule(corrupted)
     assert "FT201" in error_rules(report)
 
 
@@ -317,8 +337,14 @@ def test_ft202_replica_anti_affinity():
     schedule.add_replica(ReplicaPlacement("a", "P2", 0.0, 1.0, replica=1))
     schedule.add_replica(ReplicaPlacement("b", "P1", 1.0, 2.0, replica=0))
     schedule.add_replica(ReplicaPlacement("b", "P2", 1.0, 2.0, replica=1))
+    # add_replica refuses a second replica on one processor, so the
+    # corruption moves the replica in the replica table and in the
+    # per-processor index together.
     second = schedule._replicas["a"][1]
-    schedule._replicas["a"][1] = dataclasses.replace(second, processor="P1")
+    moved = dataclasses.replace(second, processor="P1")
+    schedule._replicas["a"][1] = moved
+    schedule._proc_rows["P2"].remove(second)
+    schedule._proc_rows["P1"].append(moved)
     report = lint_schedule(schedule)
     assert "FT202" in error_rules(report)
 
@@ -390,10 +416,10 @@ def test_ft208_election_order():
 def test_ft209_solution1_sender():
     problem = paper.first_example_problem(failures=1)
     schedule = schedule_solution1(problem).schedule
-    victim = next(i for i, s in enumerate(schedule._comms) if s.hop == 0)
-    slot = schedule._comms[victim]
-    schedule._comms[victim] = dataclasses.replace(slot, sender_replica=1)
-    report = lint_schedule(schedule)
+    comms = schedule.comms
+    victim = next(i for i, s in enumerate(comms) if s.hop == 0)
+    comms[victim] = dataclasses.replace(comms[victim], sender_replica=1)
+    report = lint_schedule(rebuilt(schedule, comms=comms))
     assert error_rules(report) == {"FT209"}
 
 
@@ -403,12 +429,7 @@ def test_ft210_solution2_replication():
     comms = schedule.comms
     victim = next(i for i, s in enumerate(comms) if s.hop == 0)
     comms.pop(victim)
-    corrupted = Schedule(problem, schedule.semantics)
-    for replica in schedule.all_replicas():
-        corrupted.add_replica(replica)
-    for slot in comms:
-        corrupted.add_comm(slot)
-    report = lint_schedule(corrupted.freeze())
+    report = lint_schedule(rebuilt(schedule, comms=comms))
     assert "FT210" in error_rules(report)
 
 
@@ -420,8 +441,12 @@ def test_ft212_route_liveness():
         for op in problem.algorithm.operation_names
         if len(schedule.replicas(op)) > 1
     )
-    schedule._replicas[comp] = schedule._replicas[comp][:1]
-    report = lint_schedule(schedule)
+    backups = schedule.replicas(comp)[1:]
+    corrupted = rebuilt(
+        schedule,
+        replicas=[r for r in schedule.all_replicas() if r not in backups],
+    )
+    report = lint_schedule(corrupted)
     assert "FT212" in error_rules(report)
     # Losing one replica also breaks coverage, by construction.
     assert "FT201" in error_rules(report)
@@ -462,12 +487,12 @@ def test_ft206_sender_liveness():
 def test_ft211_timeout_undercut():
     problem = paper.first_example_problem(failures=1)
     schedule = schedule_solution1(problem).schedule
-    assert schedule._timeouts, "solution1 must emit a timeout table"
-    entry = schedule._timeouts[0]
-    schedule._timeouts[0] = dataclasses.replace(
-        entry, deadline=entry.deadline - 1000.0
+    timeouts = schedule.timeouts
+    assert timeouts, "solution1 must emit a timeout table"
+    timeouts[0] = dataclasses.replace(
+        timeouts[0], deadline=timeouts[0].deadline - 1000.0
     )
-    report = lint_schedule(schedule)
+    report = lint_schedule(rebuilt(schedule, timeouts=timeouts))
     assert error_rules(report) == {"FT211"}
     assert any("below the worst-case" in d.message for d in report.errors)
 
@@ -475,8 +500,9 @@ def test_ft211_timeout_undercut():
 def test_ft211_missing_timeout_entry():
     problem = paper.first_example_problem(failures=1)
     schedule = schedule_solution1(problem).schedule
-    dropped = schedule._timeouts.pop()
-    report = lint_schedule(schedule)
+    timeouts = schedule.timeouts
+    dropped = timeouts.pop()
+    report = lint_schedule(rebuilt(schedule, timeouts=timeouts))
     assert "FT211" in error_rules(report)
     assert any(dropped.op == d.subject for d in report.by_rule("FT211"))
 

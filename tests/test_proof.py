@@ -250,6 +250,16 @@ class TestObsIntegration:
         names = {span.name for span in session.tracer.spans}
         assert {"proof.compile", "proof.verify"} <= names
 
+    def test_event_count_is_deterministic(self, gap_schedule):
+        counts = []
+        for _ in range(2):
+            with instrumented() as session:
+                proof = prove_delivery(gap_schedule)
+            registry = session.registry
+            counts.append(registry.counter_value("proof.events"))
+            assert registry.counter_value("proof.evaluations") == proof.evaluations
+        assert counts[0] == counts[1] > proof.evaluations
+
 
 class TestLintIntegration:
     def test_rules_registered(self):
